@@ -192,7 +192,7 @@ func BenchmarkAblationTMCShapley10Perms(b *testing.B) {
 	u := importance.AccuracyUtility(func() ml.Classifier { return ml.NewKNN(5) }, train, valid)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cfg := importance.MCShapleyConfig{Permutations: 10, Seed: int64(i), Truncation: 0.01}
+		cfg := importance.MCShapleyConfig{Permutations: 10, Seed: int64(i), Truncation: 0.01, Workers: 1}
 		if _, err := importance.MCShapley(train.Len(), u, cfg); err != nil {
 			b.Fatal(err)
 		}
@@ -214,7 +214,7 @@ func BenchmarkAblationTMCTruncation(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				cfg := importance.MCShapleyConfig{Permutations: 5, Seed: int64(i), Truncation: tol}
+				cfg := importance.MCShapleyConfig{Permutations: 5, Seed: int64(i), Truncation: tol, Workers: 1}
 				if _, err := importance.MCShapley(train.Len(), u, cfg); err != nil {
 					b.Fatal(err)
 				}
@@ -328,23 +328,23 @@ func BenchmarkKNNShapleyParallelObsOff(b *testing.B) {
 	}
 }
 
-// MCShapleyParallel worker-count scaling on the retraining utility: the
+// MCShapley worker-count scaling on the retraining utility: the
 // per-permutation seeds make every worker count bit-identical, so this
 // measures pure scheduling overhead vs. parallel speedup. Expect
 // near-linear scaling from 1 to GOMAXPROCS on a multicore runner.
 func BenchmarkMCShapleyParallel(b *testing.B) {
 	train, valid := benchDataset(b, 200)
 	u := importance.AccuracyUtility(func() ml.Classifier { return ml.NewKNN(5) }, train, valid)
-	cfg := importance.MCShapleyConfig{Permutations: 10, Seed: 42, Truncation: 0.01}
 	workerCounts := []int{1, 2, 4}
 	if p := runtime.GOMAXPROCS(0); p > 4 {
 		workerCounts = append(workerCounts, p)
 	}
 	for _, workers := range workerCounts {
+		cfg := importance.MCShapleyConfig{Permutations: 10, Seed: 42, Truncation: 0.01, Workers: workers}
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := importance.MCShapleyParallel(train.Len(), u, cfg, workers); err != nil {
+				if _, err := importance.MCShapley(train.Len(), u, cfg); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -386,7 +386,7 @@ func BenchmarkWhatIf(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := nde.WhatIfParallel(ft, variants, validLike, workers); err != nil {
+				if _, err := nde.WhatIf(ft, variants, validLike, nde.WhatIfOptions{Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

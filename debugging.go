@@ -45,29 +45,19 @@ type (
 // WhatIf evaluates removal variants over a featurized pipeline output via
 // the provenance shortcut (no pipeline replays), retraining the default
 // model per variant. Variants are evaluated concurrently on the shared
-// worker pool; results come back in variant order and are bit-for-bit
-// identical to a serial run. A variant that removes every surviving row
-// reports Surviving: 0 with a NaN metric instead of failing the batch.
-// Safe for concurrent callers. Use WhatIfParallel to pin the worker count.
-func WhatIf(ft *Featurized, variants []RemovalVariant, valid *Dataset) ([]WhatIfResult, error) {
-	return WhatIfParallel(ft, variants, valid, 0)
-}
-
-// WhatIfParallel is WhatIf with an explicit worker count (<= 0 = automatic,
-// 1 = serial). Every worker count yields identical results; the knob only
-// trades latency for CPU.
-func WhatIfParallel(ft *Featurized, variants []RemovalVariant, valid *Dataset, workers int) ([]WhatIfResult, error) {
-	return WhatIfWithOptions(ft, variants, valid, WhatIfOptions{Workers: workers})
-}
-
-// WhatIfWithOptions is WhatIf with full control. Since the default model
-// is a kNN, variants are normally answered by deriving a delta index from
-// one shared base over the featurized data — each variant costs an
-// O(queries·k) repair instead of a fresh distance matrix — while
-// ForceRebuild pins the per-variant full rebuild, the determinism oracle
-// the delta path is tested bit-for-bit against.
-func WhatIfWithOptions(ft *Featurized, variants []RemovalVariant, valid *Dataset, opts WhatIfOptions) (_ []WhatIfResult, err error) {
-	defer recordOp("WhatIfParallel", time.Now(), len(variants), opts.Workers, &err)
+// worker pool (opts.Workers <= 0 = automatic, 1 = serial); results come
+// back in variant order and are bit-for-bit identical for every worker
+// count. A variant that removes every surviving row reports Surviving: 0
+// with a NaN metric instead of failing the batch. Safe for concurrent
+// callers.
+//
+// Since the default model is a kNN, variants are normally answered by
+// deriving a delta index from one shared base over the featurized data —
+// each variant costs an O(queries·k) repair instead of a fresh distance
+// matrix — while opts.ForceRebuild pins the per-variant full rebuild, the
+// determinism oracle the delta path is tested bit-for-bit against.
+func WhatIf(ft *Featurized, variants []RemovalVariant, valid *Dataset, opts WhatIfOptions) (_ []WhatIfResult, err error) {
+	defer recordOp("WhatIf", time.Now(), len(variants), opts.Workers, &err)
 	if ft == nil || ft.Data == nil {
 		return nil, nderr.Empty("nde: featurized pipeline output is nil")
 	}

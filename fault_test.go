@@ -335,7 +335,7 @@ func TestFaultInjectionPipelineEntryPoints(t *testing.T) {
 
 	mustDegenerate(t, []faultCase{
 		{"WhatIf/nil-featurized", func() error {
-			_, err := nde.WhatIf(nil, nil, validLike)
+			_, err := nde.WhatIf(nil, nil, validLike, nde.WhatIfOptions{})
 			return err
 		}},
 		{"DatascopeScores/nil-featurized", func() error {

@@ -118,7 +118,7 @@ func TestDebugSessionAtomicOnError(t *testing.T) {
 	}
 }
 
-// Race-stress: concurrent WhatIfParallel callers share one base index while
+// Race-stress: concurrent WhatIf callers share one base index while
 // a DebugSession derives delta indexes from the same cache and a churn
 // goroutine resets it. Run under -race; results must stay bit-identical to
 // the serial baseline throughout.
@@ -146,7 +146,7 @@ func TestStressWhatIfUnderIndexMutation(t *testing.T) {
 		}
 		variants = append(variants, nde.RemovalVariant{Name: fmt.Sprintf("drop-%d", v), Remove: rows})
 	}
-	baseline, err := nde.WhatIfParallel(ft, variants, validLike, 1)
+	baseline, err := nde.WhatIf(ft, variants, validLike, nde.WhatIfOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +164,7 @@ func TestStressWhatIfUnderIndexMutation(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				opts := nde.WhatIfOptions{Workers: 1 + (g+it)%4, ForceRebuild: g%2 == 1}
-				got, err := nde.WhatIfWithOptions(ft, variants, validLike, opts)
+				got, err := nde.WhatIf(ft, variants, validLike, opts)
 				if err != nil {
 					errc <- err
 					return

@@ -148,15 +148,6 @@ func Build(data *linalg.Matrix, cfg Config) (*Index, error) {
 	return build(data.ToMatrix32(), cfg)
 }
 
-// Build32 is Build over an already-converted float32 matrix (shared, not
-// copied; the caller must not mutate it afterwards).
-func Build32(data *linalg.Matrix32, cfg Config) (*Index, error) {
-	if data == nil || data.Rows == 0 {
-		return nil, nderr.Empty("ann: no rows to index")
-	}
-	return build(data, cfg)
-}
-
 func build(d32 *linalg.Matrix32, cfg Config) (*Index, error) {
 	n := d32.Rows
 	cfg = cfg.withDefaults(n)

@@ -173,7 +173,7 @@ func IterativeClean(
 }
 
 // iterativeClean is IterativeClean reporting under an explicit parent span,
-// so concurrent strategy runs (CompareStrategies) each get their own
+// so concurrent strategy runs (CompareStrategiesParallel) each get their own
 // correctly nested trace instead of racing over the tracer's implicit
 // current-span stack.
 func iterativeClean(
@@ -247,22 +247,10 @@ func iterativeClean(
 	return res, nil
 }
 
-// CompareStrategies runs IterativeClean for every strategy on identical
-// inputs and returns the results in strategy order. Strategies run
-// concurrently on the shared worker pool; this is
-// CompareStrategiesParallel with the automatic worker count.
-func CompareStrategies(
-	train, valid, test *ml.Dataset,
-	oracle Oracle,
-	strategies []Strategy,
-	newModel func() ml.Classifier,
-	batch, budget int,
-) ([]*Result, error) {
-	return CompareStrategiesParallel(train, valid, test, oracle, strategies, newModel, batch, budget, 0)
-}
-
-// CompareStrategiesParallel runs the strategies concurrently with an
-// explicit worker count (<= 0 = GOMAXPROCS). Each strategy's cleaning loop
+// CompareStrategiesParallel runs IterativeClean for every strategy on
+// identical inputs and returns the results in strategy order. Strategies
+// run concurrently on the shared worker pool (workers <= 0 = GOMAXPROCS,
+// 1 = serial). Each strategy's cleaning loop
 // is independent — IterativeClean clones the training data, oracles must
 // not mutate their inputs, and newModel must return a fresh classifier per
 // call — so results (curve order, accuracies, final datasets) are

@@ -187,9 +187,9 @@ func TestCompareStrategiesImportanceBeatsRandom(t *testing.T) {
 			t.Fatal(err)
 		}
 		oracle := &LabelOracle{Truth: clean.Y}
-		results, err := CompareStrategies(dirty, valid, test, oracle,
+		results, err := CompareStrategiesParallel(dirty, valid, test, oracle,
 			[]Strategy{&RandomStrategy{Seed: seed}, &KNNShapleyStrategy{K: 5}},
-			newModel, 6, len(corrupted))
+			newModel, 6, len(corrupted), 0)
 		if err != nil {
 			t.Fatal(err)
 		}

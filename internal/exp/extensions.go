@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"nde/internal/datagen"
@@ -20,6 +21,10 @@ type E13Result struct {
 	// the retrained model.
 	Agreements []float64
 }
+
+// e13Reps is how many times E13 times each unlearn and retrain; it reports
+// the fastest of each.
+const e13Reps = 3
 
 // E13Unlearning measures the §2.4 connection between data debugging and
 // low-latency machine unlearning: influence-style unlearning of a logistic
@@ -41,31 +46,36 @@ func E13Unlearning(n int, seed int64) (*E13Result, error) {
 	}
 	res := &E13Result{Table: t, DeleteSizes: sizes}
 	for _, k := range sizes {
-		m := ml.NewUnlearnableLogReg()
-		if err := m.Fit(dirty); err != nil {
-			return nil, err
-		}
 		rows := make([]int, k)
+		rm := make(map[int]bool, k)
 		for i := range rows {
 			rows[i] = i * 3 // deterministic spread
-		}
-		start := time.Now()
-		if err := m.Unlearn(rows); err != nil {
-			return nil, err
-		}
-		unlearnTime := time.Since(start)
-
-		rm := make(map[int]bool, k)
-		for _, r := range rows {
-			rm[r] = true
+			rm[rows[i]] = true
 		}
 		rest, _ := dirty.Without(rm)
-		fresh := ml.NewUnlearnableLogReg()
-		start = time.Now()
-		if err := fresh.Fit(rest); err != nil {
-			return nil, err
+		// Both fits are deterministic, so every repetition builds the same
+		// models; the best of e13Reps timings keeps one descheduling of a
+		// sub-millisecond unlearn from standing in for its cost.
+		var m, fresh *ml.UnlearnableLogReg
+		unlearnTime, retrainTime := time.Duration(math.MaxInt64), time.Duration(math.MaxInt64)
+		for rep := 0; rep < e13Reps; rep++ {
+			m = ml.NewUnlearnableLogReg()
+			if err := m.Fit(dirty); err != nil {
+				return nil, err
+			}
+			start := time.Now()
+			if err := m.Unlearn(rows); err != nil {
+				return nil, err
+			}
+			unlearnTime = min(unlearnTime, time.Since(start))
+
+			fresh = ml.NewUnlearnableLogReg()
+			start = time.Now()
+			if err := fresh.Fit(rest); err != nil {
+				return nil, err
+			}
+			retrainTime = min(retrainTime, time.Since(start))
 		}
-		retrainTime := time.Since(start)
 
 		agree := 0
 		for i := 0; i < test.Len(); i++ {

@@ -115,15 +115,16 @@ func E6Scalability(seed int64) (*E6Result, error) {
 		}
 		u := importance.AccuracyUtility(func() ml.Classifier { return ml.NewKNN(5) }, dirty, valid)
 
-		cfg := importance.MCShapleyConfig{Permutations: 10, Seed: seed, Truncation: 0.01}
+		cfg := importance.MCShapleyConfig{Permutations: 10, Seed: seed, Truncation: 0.01, Workers: 1}
 		start := time.Now()
 		if _, err := importance.MCShapley(dirty.Len(), u, cfg); err != nil {
 			return nil, err
 		}
 		tmc := time.Since(start)
 
+		cfg.Workers = 0
 		start = time.Now()
-		if _, err := importance.MCShapleyParallel(dirty.Len(), u, cfg, 0); err != nil {
+		if _, err := importance.MCShapley(dirty.Len(), u, cfg); err != nil {
 			return nil, err
 		}
 		tmcPar := time.Since(start)
@@ -179,7 +180,7 @@ func E7CleaningStrategies(n int, seed int64) (*E7Result, error) {
 		&cleaning.NoiseStrategy{Seed: seed},
 		&cleaning.KNNShapleyStrategy{K: 5},
 	}
-	results, err := cleaning.CompareStrategies(dirty, valid, valid, oracle, strategies, newModel, budget/5, budget)
+	results, err := cleaning.CompareStrategiesParallel(dirty, valid, valid, oracle, strategies, newModel, budget/5, budget, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -69,7 +69,7 @@ func E16WhatIfOptimization(n int, seed int64) (*E16Result, error) {
 	}
 
 	start := time.Now()
-	fast, err := pipeline.WhatIfRemovals(ft, variants, newModel, valid)
+	fast, err := pipeline.WhatIfRemovalsParallel(ft, variants, newModel, valid, 0)
 	if err != nil {
 		return nil, err
 	}

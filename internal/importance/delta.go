@@ -7,7 +7,6 @@ import (
 	"nde/internal/ml"
 	"nde/internal/nderr"
 	"nde/internal/obs"
-	"nde/internal/par"
 )
 
 // KNNShapleyDelta recomputes kNN-Shapley after removing training rows,
@@ -88,45 +87,6 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 		return nil, nil, nil, err
 	}
 	return scores, keep, child, nil
-}
-
-// knnShapleyOverIndex runs the closed form over an index with explicit
-// survivor labels, using the per-validation-point contribution layout and
-// fixed reduction order of KNNShapleyParallelStats — so the result is
-// bit-identical across worker counts and to the serial oracle.
-func knnShapleyOverIndex(k int, ix *ml.NeighborIndex, trainY []int, valid *ml.Dataset, workers int) (Scores, error) {
-	n := ix.Train.Len()
-	if len(trainY) != n {
-		return nil, nderr.Mismatch("importance: delta labels", n, len(trainY))
-	}
-	resolved := par.Workers(workers, valid.Len())
-	contribs := make([][]float64, valid.Len())
-	scratch := make([][]float64, resolved)
-	par.For("importance.knnshapley_delta", workers, valid.Len(), func(w, v int) {
-		s := scratch[w]
-		if s == nil {
-			s = make([]float64, n)
-			scratch[w] = s
-		}
-		order := ix.Order(v)
-		knnShapleyContrib(k, trainY, valid.Y[v], order, s)
-		c := make([]float64, n)
-		for j := 0; j < n; j++ {
-			c[order[j]] = s[j]
-		}
-		contribs[v] = c
-	})
-	scores := make(Scores, n)
-	for v := 0; v < valid.Len(); v++ { // fixed reduction order
-		for i, c := range contribs[v] {
-			scores[i] += c
-		}
-	}
-	inv := 1 / float64(valid.Len())
-	for i := range scores {
-		scores[i] *= inv
-	}
-	return scores, nil
 }
 
 // dedupSortedInts removes adjacent duplicates in place.

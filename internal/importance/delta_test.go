@@ -18,7 +18,7 @@ func assertScoresBitIdentical(t *testing.T, got, want Scores, ctx string) {
 	}
 	for i := range want {
 		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: score[%d] = %x, rebuild %x", ctx, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+			t.Fatalf("%s: score[%d] = %x, want %x", ctx, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 		}
 	}
 }

@@ -3,6 +3,7 @@ package importance
 import (
 	"math"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -270,10 +271,10 @@ func TestTMCShapleyTruncationStillAccurateForAdditive(t *testing.T) {
 }
 
 func TestTMCTruncationReducesEvaluations(t *testing.T) {
-	evals := 0
+	var evals atomic.Int64 // MCShapley calls u from several workers
 	// utility saturates after 2 of 10 points: truncation should kick in
 	u := func(subset []int) (float64, error) {
-		evals++
+		evals.Add(1)
 		if len(subset) >= 2 {
 			return 1, nil
 		}
@@ -282,13 +283,12 @@ func TestTMCTruncationReducesEvaluations(t *testing.T) {
 	if _, err := MCShapley(10, u, MCShapleyConfig{Permutations: 20, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
-	full := evals
-	evals = 0
+	full := evals.Swap(0)
 	if _, err := MCShapley(10, u, MCShapleyConfig{Permutations: 20, Seed: 1, Truncation: 0.01}); err != nil {
 		t.Fatal(err)
 	}
-	if evals >= full {
-		t.Errorf("truncated evals %d >= full evals %d", evals, full)
+	if got := evals.Load(); got >= full {
+		t.Errorf("truncated evals %d >= full evals %d", got, full)
 	}
 }
 

@@ -2,6 +2,8 @@ package importance
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -10,8 +12,9 @@ import (
 	"nde/internal/obs"
 )
 
-// The three kNN-Shapley entry points — sequential, pooled, and explicit
-// index — must agree bit-for-bit.
+// Every kNN-Shapley entry point — serial, pooled at any worker count, and
+// the delta path with nothing removed — runs the same loop and must agree
+// bit-for-bit.
 func TestKNNShapleyAllPathsBitIdentical(t *testing.T) {
 	train := blobs(90, 1.5, 901)
 	valid := blobs(45, 1.5, 902)
@@ -19,22 +22,17 @@ func TestKNNShapleyAllPathsBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := KNNShapleyParallel(5, train, valid, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ix, err := ml.NewNeighborIndex(train, valid, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	indexed, err := KNNShapleyWithIndex(5, ix)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range seq {
-		if seq[i] != par[i] || seq[i] != indexed[i] {
-			t.Fatalf("score %d diverges: seq %v par %v indexed %v", i, seq[i], par[i], indexed[i])
+	for _, workers := range []int{2, 4, runtime.GOMAXPROCS(0)} {
+		par, err := KNNShapleyParallel(5, train, valid, workers)
+		if err != nil {
+			t.Fatal(err)
 		}
+		assertScoresBitIdentical(t, par, seq, fmt.Sprintf("workers=%d", workers))
+		delta, _, _, err := KNNShapleyDelta(5, train, valid, nil, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertScoresBitIdentical(t, delta, seq, fmt.Sprintf("delta workers=%d", workers))
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"sort"
 
 	"nde/internal/ml"
+	"nde/internal/nderr"
 	"nde/internal/obs"
+	"nde/internal/par"
 )
 
 // KNNShapley computes exact Shapley values for the k-nearest-neighbor
@@ -25,70 +27,73 @@ import (
 //
 // Distances and neighbor orders come from the shared NeighborIndex cache:
 // the valid×train squared-distance matrix is computed once through the
-// batched linalg kernel and reused across calls (and with
-// KNNShapleyParallel, which is bit-for-bit identical to this function).
+// batched linalg kernel and reused across calls. KNNShapley is the serial
+// path (workers = 1) of KNNShapleyParallel.
 func KNNShapley(k int, train, valid *ml.Dataset) (Scores, error) {
+	return knnShapley(k, train, valid, 1)
+}
+
+// KNNShapleyParallel computes the same exact kNN-Shapley values as
+// KNNShapley with the recurrence fanned out over validation points on the
+// shared worker pool (workers <= 0 = GOMAXPROCS). The result is
+// Float64bits-identical for every worker count: see knnShapleyOverIndex.
+func KNNShapleyParallel(k int, train, valid *ml.Dataset, workers int) (Scores, error) {
+	return knnShapley(k, train, valid, workers)
+}
+
+func knnShapley(k int, train, valid *ml.Dataset, workers int) (Scores, error) {
 	if err := validateKNNShapley(k, train, valid); err != nil {
 		return nil, err
 	}
 	sp := obs.StartSpan("importance.knnshapley")
-	sp.SetInt("k", int64(k)).SetInt("train", int64(train.Len())).SetInt("valid", int64(valid.Len()))
+	sp.SetInt("k", int64(k)).SetInt("train", int64(train.Len())).
+		SetInt("valid", int64(valid.Len())).SetInt("workers", int64(par.Workers(workers, valid.Len())))
 	defer sp.End()
-	prog := obs.NewProgress("knnshapley", valid.Len())
-	defer prog.Done()
-
-	ix, err := sharedNeighborIndex(train, valid, 1)
+	ix, err := sharedNeighborIndex(train, valid, workers)
 	if err != nil {
 		return nil, err
 	}
-	n := train.Len()
-	scores := make(Scores, n)
-	s := make([]float64, n)
-	for v := 0; v < valid.Len(); v++ {
+	return knnShapleyOverIndex(k, ix, train.Y, valid, workers)
+}
+
+// knnShapleyOverIndex is the one kNN-Shapley loop: the closed form over
+// the neighbor orders of ix, with labels read from trainY (never from the
+// index, whose cached datasets may carry stale labels). Validation points
+// are scored in parallel and summed in validation-point order
+// (orderedSum), so every score adds its per-point contributions in the
+// serial order and is Float64bits-identical for any worker count. The
+// resolved worker count is the importance_knnshapley_workers gauge;
+// points per worker feed the importance_knnshapley_points_per_worker
+// histogram.
+func knnShapleyOverIndex(k int, ix *ml.NeighborIndex, trainY []int, valid *ml.Dataset, workers int) (Scores, error) {
+	n, q := ix.Train.Len(), valid.Len()
+	if len(trainY) != n {
+		return nil, nderr.Mismatch("importance: kNN-Shapley labels", n, len(trainY))
+	}
+	obs.SetGauge("importance_knnshapley_workers", float64(par.Workers(workers, q)))
+	prog := obs.NewProgress("knnshapley", q)
+	defer prog.Done()
+	scores, perWorker, _ := orderedSum("importance.knnshapley", workers, q, n, func(_ int, c []float64, v int) error {
+		knnShapleyContrib(k, trainY, valid.Y[v], ix.Order(v), c)
 		prog.Tick(1)
-		order := ix.Order(v)
-		knnShapleyContrib(k, train.Y, valid.Y[v], order, s)
-		for j := 0; j < n; j++ {
-			scores[order[j]] += s[j]
+		return nil
+	})
+	if obs.Enabled() {
+		for _, cnt := range perWorker {
+			obs.ObserveWith("importance_knnshapley_points_per_worker", float64(cnt), obs.ExpBuckets(1, 2, 13))
 		}
 	}
-	inv := 1 / float64(valid.Len())
+	inv := 1 / float64(q)
 	for i := range scores {
 		scores[i] *= inv
 	}
 	return scores, nil
 }
 
-// KNNShapleyWithIndex computes the same closed form from a caller-provided
-// NeighborIndex whose Train/Queries pair is the (train, valid) of
-// interest, reusing its cached distance matrix and neighbor orders. The
-// result is bit-for-bit identical to KNNShapley on the same data.
-func KNNShapleyWithIndex(k int, ix *ml.NeighborIndex) (Scores, error) {
-	train, valid := ix.Train, ix.Queries
-	if err := validateKNNShapley(k, train, valid); err != nil {
-		return nil, err
-	}
-	n := train.Len()
-	scores := make(Scores, n)
-	s := make([]float64, n)
-	for v := 0; v < valid.Len(); v++ {
-		order := ix.Order(v)
-		knnShapleyContrib(k, train.Y, valid.Y[v], order, s)
-		for j := 0; j < n; j++ {
-			scores[order[j]] += s[j]
-		}
-	}
-	inv := 1 / float64(valid.Len())
-	for i := range scores {
-		scores[i] *= inv
-	}
-	return scores, nil
-}
-
-// knnShapleyContrib fills s with the per-rank Shapley recurrence for one
-// validation point with label y, given the neighbor order of the training
-// points. s[j] is the contribution of the training point at rank j.
-func knnShapleyContrib(k int, trainY []int, y int, order []int, s []float64) {
+// knnShapleyContrib fills c with one validation point's Shapley
+// recurrence, given its label y and the neighbor order of the training
+// points: c[order[j]] is the contribution of the training point at rank j.
+func knnShapleyContrib(k int, trainY []int, y int, order []int, c []float64) {
 	n := len(order)
 	match := func(pos int) float64 {
 		if trainY[order[pos]] == y {
@@ -96,10 +101,12 @@ func knnShapleyContrib(k int, trainY []int, y int, order []int, s []float64) {
 		}
 		return 0
 	}
-	s[n-1] = match(n-1) / float64(n)
+	s := match(n-1) / float64(n)
+	c[order[n-1]] = s
 	for j := n - 2; j >= 0; j-- {
 		rank := j + 1 // 1-based rank of position j
-		s[j] = s[j+1] + (match(j)-match(j+1))/float64(k)*minF(float64(k), float64(rank))/float64(rank)
+		s += (match(j) - match(j+1)) / float64(k) * minF(float64(k), float64(rank)) / float64(rank)
+		c[order[j]] = s
 	}
 }
 

@@ -10,19 +10,25 @@ import (
 	"testing/quick"
 )
 
-// The headline determinism contract: MCShapleyParallel is bit-for-bit
-// identical for any worker count at the same seed.
+// mcAt is MCShapley with cfg.Workers set to workers.
+func mcAt(n int, u Utility, cfg MCShapleyConfig, workers int) (Scores, error) {
+	cfg.Workers = workers
+	return MCShapley(n, u, cfg)
+}
+
+// The headline determinism contract: MCShapley is bit-for-bit identical
+// for any worker count at the same seed.
 func TestMCShapleyParallelDeterministicAcrossWorkers(t *testing.T) {
 	train := blobs(40, 1.5, 801)
 	valid := blobs(20, 1.5, 802)
 	u := KNNUtility(3, train, valid)
 	cfg := MCShapleyConfig{Permutations: 12, Seed: 7, Truncation: 0.05}
-	ref, err := MCShapleyParallel(train.Len(), u, cfg, 1)
+	ref, err := mcAt(train.Len(), u, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, runtime.GOMAXPROCS(0), 50} {
-		got, err := MCShapleyParallel(train.Len(), u, cfg, workers)
+		got, err := mcAt(train.Len(), u, cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -47,11 +53,11 @@ func TestQuickMCShapleyParallelDeterministic(t *testing.T) {
 			Seed:         r.Int63(),
 			Truncation:   float64(r.Intn(2)) * 0.05,
 		}
-		a, err := MCShapleyParallel(train.Len(), u, cfg, 1)
+		a, err := mcAt(train.Len(), u, cfg, 1)
 		if err != nil {
 			return false
 		}
-		b, err := MCShapleyParallel(train.Len(), u, cfg, 1+r.Intn(7))
+		b, err := mcAt(train.Len(), u, cfg, 1+r.Intn(7))
 		if err != nil {
 			return false
 		}
@@ -67,9 +73,9 @@ func TestQuickMCShapleyParallelDeterministic(t *testing.T) {
 	}
 }
 
-// MCShapleyParallel must estimate the same values as the exact
-// enumeration, like the serial estimator does — parallelism must not
-// change what is being estimated.
+// MCShapley must estimate the same values as the exact enumeration at the
+// automatic worker count — parallelism must not change what is being
+// estimated.
 func TestMCShapleyParallelApproximatesExact(t *testing.T) {
 	train := blobs(10, 2.5, 803)
 	valid := blobs(8, 2.5, 804)
@@ -78,7 +84,7 @@ func TestMCShapleyParallelApproximatesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	est, err := MCShapleyParallel(train.Len(), u, MCShapleyConfig{Permutations: 400, Seed: 11}, 0)
+	est, err := mcAt(train.Len(), u, MCShapleyConfig{Permutations: 400, Seed: 11}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,16 +115,16 @@ func TestMCShapleyParallelPropagatesUtilityError(t *testing.T) {
 		}
 		return float64(len(subset)), nil
 	}
-	_, err := MCShapleyParallel(8, u, MCShapleyConfig{Permutations: 6, Seed: 1}, 4)
+	_, err := mcAt(8, u, MCShapleyConfig{Permutations: 6, Seed: 1}, 4)
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	if _, err := MCShapleyParallel(0, u, MCShapleyConfig{}, 1); err == nil {
+	if _, err := mcAt(0, u, MCShapleyConfig{}, 1); err == nil {
 		t.Error("expected error for n = 0")
 	}
 }
 
-// Truncation must cut utility evaluations in the parallel path too.
+// Truncation must cut utility evaluations.
 func TestMCShapleyParallelTruncationCutsEvals(t *testing.T) {
 	train := blobs(30, 2.5, 805)
 	valid := blobs(15, 2.5, 806)
@@ -130,7 +136,7 @@ func TestMCShapleyParallelTruncationCutsEvals(t *testing.T) {
 			return u(subset)
 		}
 		cfg := MCShapleyConfig{Permutations: 5, Seed: 3, Truncation: trunc}
-		if _, err := MCShapleyParallel(train.Len(), counted, cfg, 1); err != nil {
+		if _, err := mcAt(train.Len(), counted, cfg, 1); err != nil {
 			t.Fatal(err)
 		}
 		return n
@@ -162,7 +168,7 @@ func BenchmarkMCShapleyParallel(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := MCShapleyParallel(train.Len(), u, cfg, workers); err != nil {
+				if _, err := mcAt(train.Len(), u, cfg, workers); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -1,110 +1,38 @@
 package importance
 
-import (
-	"time"
+import "nde/internal/par"
 
-	"nde/internal/ml"
-	"nde/internal/obs"
-	"nde/internal/par"
-)
-
-// ParallelStats reports how a parallel importance computation actually
-// ran. It surfaces the resolved worker count — previously invisible when
-// the requested count was 0 (auto) or clamped to the number of validation
-// points — so callers and tests can assert on it.
-type ParallelStats struct {
-	// RequestedWorkers is the caller-supplied worker count (<= 0 = auto).
-	RequestedWorkers int
-	// Workers is the resolved count actually used: GOMAXPROCS when auto,
-	// then clamped to the number of validation points.
-	Workers int
-	// Points is the number of validation points processed.
-	Points int
-	// PerWorker[w] is the number of validation points worker w processed;
-	// its spread shows pool utilization balance.
-	PerWorker []int
-	// Wall is the end-to-end time of the parallel section.
-	Wall time.Duration
-}
-
-// KNNShapleyParallel computes the same exact kNN-Shapley values as
-// KNNShapley using the shared worker pool over validation points. Results
-// are bit-for-bit deterministic and identical to the sequential function:
-// both read neighbor orders from the same shared NeighborIndex, each
-// validation point's contribution vector is computed independently, and
-// the final reduction sums them in validation-point order, so float
-// summation order never depends on scheduling.
-func KNNShapleyParallel(k int, train, valid *ml.Dataset, workers int) (Scores, error) {
-	scores, _, err := KNNShapleyParallelStats(k, train, valid, workers)
-	return scores, err
-}
-
-// KNNShapleyParallelStats is KNNShapleyParallel returning ParallelStats
-// alongside the scores. The resolved worker count is also exported as the
-// importance_knnshapley_workers gauge, and per-worker utilization is
-// recorded into the importance_knnshapley_points_per_worker histogram.
-func KNNShapleyParallelStats(k int, train, valid *ml.Dataset, workers int) (Scores, *ParallelStats, error) {
-	if err := validateKNNShapley(k, train, valid); err != nil {
-		return nil, nil, err
-	}
-	resolved := par.Workers(workers, valid.Len())
-	obs.SetGauge("importance_knnshapley_workers", float64(resolved))
-
-	sp := obs.StartSpan("importance.knnshapley_parallel")
-	sp.SetInt("k", int64(k)).SetInt("train", int64(train.Len())).
-		SetInt("valid", int64(valid.Len())).SetInt("workers", int64(resolved))
-	prog := obs.NewProgress("knnshapley_parallel", valid.Len())
-
-	ix, err := sharedNeighborIndex(train, valid, workers)
-	if err != nil {
-		sp.End()
-		prog.Done()
-		return nil, nil, err
-	}
-
-	n := train.Len()
-	// per-validation-point contribution vectors, indexed by validation point
-	contribs := make([][]float64, valid.Len())
-	scratch := make([][]float64, resolved) // per-worker recurrence buffer
-	st := par.For("importance.knnshapley", workers, valid.Len(), func(w, v int) {
-		s := scratch[w]
-		if s == nil {
-			s = make([]float64, n)
-			scratch[w] = s
+// orderedSum returns the elementwise sum over items of the width-long
+// vectors fill(worker, slot, i) writes into slot; fill must set every
+// element. Items are filled concurrently on the shared pool, one window
+// of par.Workers(workers, items) · par.ChunksPerWorker items at a time,
+// and each window is added into the sum serially in item order. Every
+// element therefore sums as ((0 + v₀) + v₁) + … — the serial order — for
+// any worker count, with O(window·width) scratch instead of
+// O(items·width). The first fill error in item order ends the loop after
+// its window. It also returns the items each worker filled.
+func orderedSum(name string, workers, items, width int, fill func(worker int, slot []float64, i int) error) (Scores, []int, error) {
+	resolved := par.Workers(workers, items)
+	window := min(items, resolved*par.ChunksPerWorker)
+	buf := make([]float64, window*width)
+	sum := make(Scores, width)
+	perWorker := make([]int, resolved)
+	for lo := 0; lo < items; lo += window {
+		hi := min(lo+window, items)
+		st, err := par.ForErr(name, workers, hi-lo, func(w, s int) error {
+			return fill(w, buf[s*width:(s+1)*width], lo+s)
+		})
+		if err != nil {
+			return nil, nil, err
 		}
-		order := ix.Order(v)
-		knnShapleyContrib(k, train.Y, valid.Y[v], order, s)
-		c := make([]float64, n)
-		for j := 0; j < n; j++ {
-			c[order[j]] = s[j]
+		for w, c := range st.PerWorker {
+			perWorker[w] += c
 		}
-		contribs[v] = c
-		prog.Tick(1)
-	})
-	prog.Done()
-	if obs.Enabled() {
-		for _, cnt := range st.PerWorker {
-			obs.ObserveWith("importance_knnshapley_points_per_worker", float64(cnt), obs.ExpBuckets(1, 2, 13))
+		for s := 0; s < hi-lo; s++ {
+			for x, v := range buf[s*width : (s+1)*width] {
+				sum[x] += v
+			}
 		}
 	}
-	sp.End()
-
-	scores := make(Scores, n)
-	for v := 0; v < valid.Len(); v++ { // fixed reduction order
-		for i, c := range contribs[v] {
-			scores[i] += c
-		}
-	}
-	inv := 1 / float64(valid.Len())
-	for i := range scores {
-		scores[i] *= inv
-	}
-	stats := &ParallelStats{
-		RequestedWorkers: workers,
-		Workers:          st.Workers,
-		Points:           st.Items,
-		PerWorker:        st.PerWorker,
-		Wall:             st.Wall,
-	}
-	return scores, stats, nil
+	return sum, perWorker, nil
 }

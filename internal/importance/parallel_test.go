@@ -59,63 +59,48 @@ func TestQuickKNNShapleyParallelDeterministic(t *testing.T) {
 
 // The worker-count edge cases: workers <= 0 resolves to GOMAXPROCS,
 // oversubscription clamps to the number of validation points, and the
-// resolved count — previously silent — is surfaced in ParallelStats.
+// resolved count is surfaced through the obs worker gauge, with every
+// validation point counted once in the per-worker histogram.
 func TestKNNShapleyParallelStatsWorkerResolution(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	defer obs.Reset()
 	train := blobs(60, 1.5, 705)
 	valid := blobs(7, 1.5, 706)
-
-	scores, stats, err := KNNShapleyParallelStats(5, train, valid, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.RequestedWorkers != 0 {
-		t.Errorf("requested = %d, want 0", stats.RequestedWorkers)
-	}
-	wantAuto := runtime.GOMAXPROCS(0)
-	if wantAuto > valid.Len() {
-		wantAuto = valid.Len()
-	}
-	if stats.Workers != wantAuto {
-		t.Errorf("auto workers = %d, want %d", stats.Workers, wantAuto)
-	}
-
-	_, stats, err = KNNShapleyParallelStats(5, train, valid, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Workers != valid.Len() {
-		t.Errorf("clamped workers = %d, want %d", stats.Workers, valid.Len())
-	}
-	if stats.Points != valid.Len() {
-		t.Errorf("points = %d, want %d", stats.Points, valid.Len())
-	}
-	if len(stats.PerWorker) != stats.Workers {
-		t.Fatalf("per-worker has %d slots for %d workers", len(stats.PerWorker), stats.Workers)
-	}
-	total := 0
-	for _, c := range stats.PerWorker {
-		total += c
-	}
-	if total != valid.Len() {
-		t.Errorf("per-worker sum = %d, want %d", total, valid.Len())
-	}
-	if stats.Wall <= 0 {
-		t.Errorf("wall = %v, want > 0", stats.Wall)
-	}
-
-	// stats collection must not perturb the scores
 	seq, err := KNNShapley(5, train, valid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range seq {
-		if seq[i] != scores[i] {
-			t.Fatalf("score %d differs: %v vs %v", i, seq[i], scores[i])
+	for _, tc := range []struct{ requested, want int }{
+		{0, min(runtime.GOMAXPROCS(0), valid.Len())},
+		{100, valid.Len()},
+	} {
+		obs.Reset()
+		scores, err := KNNShapleyParallel(5, train, valid, tc.requested)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := obs.Default().Gauge("importance_knnshapley_workers").Value(); got != float64(tc.want) {
+			t.Errorf("workers=%d: worker gauge = %v, want %d", tc.requested, got, tc.want)
+		}
+		h := obs.Default().Histogram("importance_knnshapley_points_per_worker", nil)
+		if got := h.Count(); got != int64(tc.want) {
+			t.Errorf("workers=%d: per-worker histogram has %d slots, want %d", tc.requested, got, tc.want)
+		}
+		if got := h.Sum(); got != float64(valid.Len()) {
+			t.Errorf("workers=%d: per-worker sum = %v, want %d", tc.requested, got, valid.Len())
+		}
+		// worker resolution must not perturb the scores
+		for i := range seq {
+			if seq[i] != scores[i] {
+				t.Fatalf("workers=%d: score %d differs: %v vs %v", tc.requested, i, seq[i], scores[i])
+			}
 		}
 	}
 }
 
-// With obs enabled, the resolved worker count is exported as a gauge.
+// With obs enabled, the resolved worker count is exported as a gauge and
+// the points each worker scored feed a histogram.
 func TestKNNShapleyParallelWorkerGauge(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -123,12 +108,8 @@ func TestKNNShapleyParallelWorkerGauge(t *testing.T) {
 	obs.Reset()
 	train := blobs(40, 1.5, 707)
 	valid := blobs(9, 1.5, 708)
-	_, stats, err := KNNShapleyParallelStats(3, train, valid, 4)
-	if err != nil {
+	if _, err := KNNShapleyParallel(3, train, valid, 4); err != nil {
 		t.Fatal(err)
-	}
-	if stats.Workers != 4 {
-		t.Fatalf("workers = %d, want 4", stats.Workers)
 	}
 	if got := obs.Default().Gauge("importance_knnshapley_workers").Value(); got != 4 {
 		t.Errorf("worker gauge = %v, want 4", got)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"nde/internal/obs"
+	"nde/internal/par"
 )
 
 // MCShapleyConfig controls the Monte-Carlo permutation estimator of the
@@ -18,6 +19,9 @@ type MCShapleyConfig struct {
 	// Truncation of the full-data utility, the rest of the permutation is
 	// assigned zero marginal contribution. Zero disables truncation.
 	Truncation float64
+	// Workers bounds the permutation fan-out (<= 0 = GOMAXPROCS, 1 =
+	// serial). The estimate is Float64bits-identical for every value.
+	Workers int
 }
 
 // MCShapley estimates Shapley values by averaging marginal contributions
@@ -25,6 +29,14 @@ type MCShapleyConfig struct {
 // one and each example is credited with the utility gain it causes.
 // The cost is O(Permutations · n) utility evaluations, less with
 // truncation.
+//
+// Permutations run on the shared worker pool. Permutation p draws from its
+// own rand stream seeded by a splitmix64 hash of (cfg.Seed, p), and the
+// per-permutation contributions are summed in permutation order, so the
+// scores do not depend on cfg.Workers. The utility u must be safe for
+// concurrent calls unless cfg.Workers is 1; the Utility functions built by
+// this package (AccuracyUtility, KNNUtility) are, since they only read the
+// datasets they close over.
 func MCShapley(n int, u Utility, cfg MCShapleyConfig) (Scores, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("importance: need at least one example, got %d", n)
@@ -33,12 +45,12 @@ func MCShapley(n int, u Utility, cfg MCShapleyConfig) (Scores, error) {
 	if perms <= 0 {
 		perms = 100
 	}
+	resolved := par.Workers(cfg.Workers, perms)
 	sp := obs.StartSpan("importance.mcshapley")
-	sp.SetInt("n", int64(n)).SetInt("permutations", int64(perms))
+	sp.SetInt("n", int64(n)).SetInt("permutations", int64(perms)).SetInt("workers", int64(resolved))
 	defer sp.End()
 	prog := obs.NewProgress("mcshapley_permutations", perms)
 	defer prog.Done()
-	r := rand.New(rand.NewSource(cfg.Seed))
 
 	uEmpty, err := u(nil)
 	if err != nil {
@@ -53,40 +65,58 @@ func MCShapley(n int, u Utility, cfg MCShapleyConfig) (Scores, error) {
 		return nil, err
 	}
 
-	evals, truncations := int64(2), int64(0)
-	scores := make(Scores, n)
-	subset := make([]int, 0, n)
-	for p := 0; p < perms; p++ {
-		perm := r.Perm(n)
-		subset = subset[:0]
+	subsets := make([][]int, resolved) // per-worker subset scratch
+	evals := make([]int64, resolved)   // per-worker counters
+	truncs := make([]int64, resolved)
+	scores, _, err := orderedSum("importance.mcshapley", cfg.Workers, perms, n, func(w int, c []float64, p int) error {
+		clear(c)
+		perm := rand.New(rand.NewSource(permSeed(cfg.Seed, p))).Perm(n)
+		subset := subsets[w][:0]
 		prev := uEmpty
-		truncated := false
 		for _, i := range perm {
-			if truncated {
-				continue // zero marginal contribution
-			}
 			subset = append(subset, i)
 			cur, err := u(subset)
 			if err != nil {
-				return nil, err
+				return err
 			}
-			evals++
-			scores[i] += cur - prev
+			evals[w]++
+			c[i] = cur - prev
 			prev = cur
 			if cfg.Truncation > 0 && abs(uFull-cur) < cfg.Truncation {
-				truncated = true
-				truncations++
+				truncs[w]++
+				break // remaining examples get zero marginal contribution
 			}
 		}
+		subsets[w] = subset
 		prog.Tick(1)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	inv := 1 / float64(perms)
 	for i := range scores {
-		scores[i] /= float64(perms)
+		scores[i] *= inv
 	}
-	obs.Count("importance_mc_utility_evals_total", evals)
-	obs.Count("importance_mc_truncations_total", truncations)
-	sp.SetInt("utility_evals", evals).SetInt("truncations", truncations)
+	totalEvals, totalTruncs := int64(2), int64(0)
+	for w := range evals {
+		totalEvals += evals[w]
+		totalTruncs += truncs[w]
+	}
+	obs.Count("importance_mc_utility_evals_total", totalEvals)
+	obs.Count("importance_mc_truncations_total", totalTruncs)
+	sp.SetInt("utility_evals", totalEvals).SetInt("truncations", totalTruncs)
 	return scores, nil
+}
+
+// permSeed derives an independent, deterministic seed for permutation p
+// from the config seed via splitmix64 — the per-permutation streams do not
+// depend on which worker runs them.
+func permSeed(seed int64, p int) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15*uint64(p+1)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
 }
 
 func abs(x float64) float64 {

@@ -60,17 +60,20 @@ func pairwiseD2Block(a, b *Matrix, na, nb []float64, out *Matrix, lo, hi int) {
 			j1 = b.Rows
 		}
 		for i := lo; i < hi; i++ {
-			ai := a.Row(i)[:d] // len==d ties the bounds checks to the loop condition
+			ai := a.Row(i)
 			orow := out.Row(i)
 			for j := j0; j < j1; j++ {
-				bj := b.Row(j)[:d]
+				bj := b.Row(j)
 				var s0, s1, s2, s3 float64
 				k := 0
 				for ; k+3 < d; k += 4 {
-					s0 += ai[k] * bj[k]
-					s1 += ai[k+1] * bj[k+1]
-					s2 += ai[k+2] * bj[k+2]
-					s3 += ai[k+3] * bj[k+3]
+					// fixed-length windows: two bounds checks per four
+					// products instead of one per element
+					x, y := ai[k:k+4:k+4], bj[k:k+4:k+4]
+					s0 += x[0] * y[0]
+					s1 += x[1] * y[1]
+					s2 += x[2] * y[2]
+					s3 += x[3] * y[3]
 				}
 				dot := s0 + s1 + s2 + s3
 				for ; k < d; k++ {
@@ -84,28 +87,6 @@ func pairwiseD2Block(a, b *Matrix, na, nb []float64, out *Matrix, lo, hi int) {
 			}
 		}
 	}
-}
-
-// MatMulPar returns m @ o with output rows computed in parallel on the
-// shared pool (workers <= 0 = auto). Each output row is produced by exactly
-// the same sequence of operations as the serial MatMul, so the result is
-// bit-for-bit identical to it for any worker count.
-func MatMulPar(m, o *Matrix, workers int) *Matrix {
-	if m.Cols != o.Rows {
-		panic(fmt.Sprintf("linalg: MatMulPar shape %dx%d @ %dx%d", m.Rows, m.Cols, o.Rows, o.Cols))
-	}
-	out := NewMatrix(m.Rows, o.Cols)
-	par.For("linalg.matmul", workers, m.Rows, func(_, r int) {
-		row := out.Row(r)
-		for k := 0; k < m.Cols; k++ {
-			a := m.Data[r*m.Cols+k]
-			if a == 0 {
-				continue
-			}
-			AXPY(a, o.Data[k*o.Cols:(k+1)*o.Cols], row)
-		}
-	})
-	return out
 }
 
 // Fingerprint returns a cheap content hash over the matrix shape and the

@@ -105,27 +105,6 @@ func TestPairwiseSquaredDistancesDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// MatMulPar must be bit-for-bit identical to the serial MatMul.
-func TestQuickMatMulParMatchesSerial(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		m, k, n := r.Intn(12)+1, r.Intn(12)+1, r.Intn(12)+1
-		a := randomMatrix(r, m, k)
-		b := randomMatrix(r, k, n)
-		want := a.MatMul(b)
-		got := MatMulPar(a, b, r.Intn(5))
-		for i := range want.Data {
-			if got.Data[i] != want.Data[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestFingerprintDetectsMutation(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	a := randomMatrix(r, 10, 4)

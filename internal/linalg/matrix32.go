@@ -3,8 +3,6 @@ package linalg
 import (
 	"fmt"
 	"math"
-
-	"nde/internal/par"
 )
 
 // Matrix32 is a dense row-major float32 matrix — the reduced-precision
@@ -71,89 +69,6 @@ func SquaredDistance32(a, b []float32) float32 {
 		s += d * d
 	}
 	return s
-}
-
-// Dot32 returns the 4-way unrolled dot product of two equal-length float32
-// vectors — the same summation order as the float64 kernel's inner loop,
-// so the result is deterministic for a given input.
-func Dot32(a, b []float32) float32 {
-	var s0, s1, s2, s3 float32
-	k := 0
-	for ; k+3 < len(a); k += 4 {
-		s0 += a[k] * b[k]
-		s1 += a[k+1] * b[k+1]
-		s2 += a[k+2] * b[k+2]
-		s3 += a[k+3] * b[k+3]
-	}
-	dot := s0 + s1 + s2 + s3
-	for ; k < len(a); k++ {
-		dot += a[k] * b[k]
-	}
-	return dot
-}
-
-// RowNorms232 returns the squared Euclidean norm of every row of m.
-func RowNorms232(m *Matrix32) []float32 {
-	out := make([]float32, m.Rows)
-	for r := 0; r < m.Rows; r++ {
-		out[r] = Dot32(m.Row(r), m.Row(r))
-	}
-	return out
-}
-
-// PairwiseSquaredDistances32 is the float32 mirror of
-// PairwiseSquaredDistances: the a.Rows × b.Rows matrix of ‖aᵢ − bⱼ‖² via
-// the Gram identity over cached row norms, row-blocked and column-tiled so
-// a tile of B rows stays cache-hot, with a 4-way unrolled dot product.
-// Every element has a fixed summation order and is produced by exactly one
-// worker, so the result is bit-for-bit deterministic for any worker count.
-// Cancellation can leave tiny negative values; they are clamped to zero.
-//
-// float32 accuracy caveat: the Gram form loses relative precision when
-// ‖a‖² + ‖b‖² greatly exceeds ‖a − b‖² (nearly coincident far-from-origin
-// points). That can reorder near-ties, which is why this kernel backs the
-// approximate search paths only — the exact float64 kernel remains the
-// determinism oracle.
-func PairwiseSquaredDistances32(a, b *Matrix32, workers int) *Matrix32 {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("linalg: PairwiseSquaredDistances32 dims %dx%d vs %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix32(a.Rows, b.Rows)
-	if a.Rows == 0 || b.Rows == 0 {
-		return out
-	}
-	na := RowNorms232(a)
-	nb := RowNorms232(b)
-	const rowBlock = 16
-	par.ForBlocks("linalg.pairwise_d2_f32", workers, a.Rows, rowBlock, func(_, lo, hi int) {
-		pairwiseD2Block32(a, b, na, nb, out, lo, hi)
-	})
-	return out
-}
-
-// pairwiseD2Block32 fills output rows [lo, hi); B rows are walked in tiles
-// of jTile so they stay in cache while the block of A rows streams over
-// them. jTile is twice the float64 kernel's: float32 rows are half as wide,
-// so twice as many fit in the same cache footprint.
-func pairwiseD2Block32(a, b *Matrix32, na, nb []float32, out *Matrix32, lo, hi int) {
-	const jTile = 128
-	for j0 := 0; j0 < b.Rows; j0 += jTile {
-		j1 := j0 + jTile
-		if j1 > b.Rows {
-			j1 = b.Rows
-		}
-		for i := lo; i < hi; i++ {
-			ai := a.Row(i)
-			orow := out.Row(i)
-			for j := j0; j < j1; j++ {
-				v := na[i] + nb[j] - 2*Dot32(ai, b.Row(j))
-				if v < 0 {
-					v = 0
-				}
-				orow[j] = v
-			}
-		}
-	}
 }
 
 // Fingerprint returns a cheap content hash over the matrix shape and the

@@ -1,10 +1,8 @@
 package linalg
 
 import (
-	"math"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func randMatrix32(r *rand.Rand, rows, cols int) *Matrix32 {
@@ -15,60 +13,8 @@ func randMatrix32(r *rand.Rand, rows, cols int) *Matrix32 {
 	return m
 }
 
-// Property: the float32 Gram-trick kernel agrees with the direct float32
-// squared distance to within the cancellation error bound of the Gram form.
-func TestPairwiseSquaredDistances32MatchesNaive(t *testing.T) {
-	prop := func(seed int64) bool {
-		r := rand.New(rand.NewSource(seed))
-		rows, cols := r.Intn(20), 1+r.Intn(8)
-		a := randMatrix32(r, rows, cols)
-		b := randMatrix32(r, r.Intn(20), cols)
-		d2 := PairwiseSquaredDistances32(a, b, 1+r.Intn(4))
-		if d2.Rows != a.Rows || d2.Cols != b.Rows {
-			return false
-		}
-		for i := 0; i < a.Rows; i++ {
-			for j := 0; j < b.Rows; j++ {
-				want := float64(SquaredDistance32(a.Row(i), b.Row(j)))
-				got := float64(d2.At(i, j))
-				// absolute tolerance scaled by the norms feeding the Gram form
-				scale := 1.0
-				for _, v := range a.Row(i) {
-					scale += float64(v) * float64(v)
-				}
-				for _, v := range b.Row(j) {
-					scale += float64(v) * float64(v)
-				}
-				if math.Abs(got-want) > 1e-5*scale {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
-// The float32 kernel must be bit-for-bit deterministic across worker counts.
-func TestPairwiseSquaredDistances32DeterministicAcrossWorkers(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	a := randMatrix32(r, 70, 9)
-	b := randMatrix32(r, 55, 9)
-	base := PairwiseSquaredDistances32(a, b, 1)
-	for _, w := range []int{2, 3, 8} {
-		got := PairwiseSquaredDistances32(a, b, w)
-		for i := range base.Data {
-			if math.Float32bits(base.Data[i]) != math.Float32bits(got.Data[i]) {
-				t.Fatalf("workers=%d: element %d differs: %v vs %v", w, i, base.Data[i], got.Data[i])
-			}
-		}
-	}
-}
-
-// ToMatrix32 truncates element-wise and preserves shape; empty shapes are
-// handled by the kernel.
+// ToMatrix32 truncates element-wise and preserves shape, empty shapes
+// included.
 func TestMatrix32ConversionAndEmpty(t *testing.T) {
 	m := FromRows([][]float64{{1.5, -2.25}, {0, 3.125}})
 	m32 := m.ToMatrix32()
@@ -80,8 +26,8 @@ func TestMatrix32ConversionAndEmpty(t *testing.T) {
 			t.Fatalf("element %d: %v vs %v", i, m32.Data[i], v)
 		}
 	}
-	empty := PairwiseSquaredDistances32(NewMatrix32(0, 3), NewMatrix32(4, 3), 2)
-	if empty.Rows != 0 || empty.Cols != 4 {
+	empty := NewMatrix(0, 3).ToMatrix32()
+	if empty.Rows != 0 || empty.Cols != 3 || len(empty.Data) != 0 {
 		t.Fatalf("empty shape %dx%d", empty.Rows, empty.Cols)
 	}
 }

@@ -224,8 +224,34 @@ func (ix *NeighborIndex) TopKChecked(qi, k int) ([]int, error) {
 // exactTopKInto is the exact top-k path writing into caller-provided
 // buffers: pairs must have length Train.Len(), out length k. It returns
 // out. Extracted so the batch prediction path can reuse per-worker
-// scratch instead of allocating per query.
+// scratch instead of allocating per query. Small k (the usual
+// classifier k) keeps a sorted insertion buffer in pairs[:k] during one
+// scan of row — most rows lose a single compare against the current k-th —
+// instead of quickselecting all n pairs and sorting the winners; both give
+// the same ids, since (distance, index) is a total order.
 func (ix *NeighborIndex) exactTopKInto(row []float64, k int, pairs []distIdx, out []int) []int {
+	if k <= insertionTopK {
+		top := pairs[:0]
+		for i, d := range row {
+			p := distIdx{d: d, i: i}
+			if len(top) == k {
+				if !p.less(top[k-1]) {
+					continue
+				}
+				top = top[:k-1]
+			}
+			j := len(top)
+			top = append(top, p)
+			for ; j > 0 && p.less(top[j-1]); j-- {
+				top[j] = top[j-1]
+			}
+			top[j] = p
+		}
+		for i, p := range top {
+			out[i] = p.i
+		}
+		return out
+	}
 	for i := range pairs {
 		pairs[i] = distIdx{d: row[i], i: i}
 	}
@@ -237,6 +263,10 @@ func (ix *NeighborIndex) exactTopKInto(row []float64, k int, pairs []distIdx, ou
 	}
 	return out
 }
+
+// insertionTopK is the largest k exactTopKInto selects by insertion; an
+// insert costs O(k) shifts, so larger k goes through quickselect.
+const insertionTopK = 16
 
 // PredictRow returns the majority label among the k nearest training
 // points to query qi; vote ties break toward the smaller label.

@@ -191,6 +191,41 @@ func TestQuickSelectKProperty(t *testing.T) {
 	}
 }
 
+// exactTopKInto's insertion path (k <= insertionTopK) and its quickselect
+// path must both return the sorted prefix of the (distance, index) order,
+// including under heavy distance ties and rows sorted against the scan.
+func TestExactTopKIntoBothPathsMatchSort(t *testing.T) {
+	ix := &NeighborIndex{}
+	prop := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		n := 1 + r.Intn(3*insertionTopK)
+		row := make([]float64, n)
+		for i := range row {
+			row[i] = float64(r.Intn(6)) // coarse values force ties
+		}
+		if r.Intn(3) == 0 {
+			sort.Sort(sort.Reverse(sort.Float64Slice(row))) // every scan step inserts
+		}
+		ref := make([]distIdx, n)
+		for i, d := range row {
+			ref[i] = distIdx{d: d, i: i}
+		}
+		sort.Sort(byDistIdx(ref))
+		for _, k := range []int{1, min(n, insertionTopK), min(n, insertionTopK+1), 1 + r.Intn(n), n} {
+			got := ix.exactTopKInto(row, k, make([]distIdx, n), make([]int, k))
+			for i := range got {
+				if got[i] != ref[i].i {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Regression: a NaN feature makes the (distance, index) comparator a
 // non-strict weak order, so quickselect used to return silently wrong
 // top-k neighbors. The index build must reject poisoned features with a

@@ -88,7 +88,7 @@ func TestLedgerHeaderAndOps(t *testing.T) {
 	defer SetLedger(prev)
 
 	RecordOp("KNNShapleyValues", 12*time.Millisecond, 180, 4, "miss", "")
-	RecordOp("WhatIfParallel", 3*time.Millisecond, 8, 0, "", "empty_input")
+	RecordOp("WhatIf", 3*time.Millisecond, 8, 0, "", "empty_input")
 	SetLedger(prev)
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)

@@ -63,72 +63,19 @@ func Workers(requested, items int) int {
 // pool. Scheduling is dynamic over contiguous chunks (items/(workers*8),
 // at least 1), so uneven per-item costs still balance. worker is in
 // [0, Workers) and identifies the goroutine, letting bodies reuse
-// per-worker scratch buffers.
+// per-worker scratch buffers. It is ForBlocks with that chunk size.
 func For(name string, requested, items int, body func(worker, i int)) *Stats {
-	st := &Stats{Requested: requested, Items: items, Workers: Workers(requested, items)}
-	st.PerWorker = make([]int, st.Workers)
-	chunk := items / (st.Workers * chunksPerWorker)
-	if chunk < 1 {
-		chunk = 1
-	}
-	var sp *obs.Span
-	if obs.Enabled() {
-		sp = obs.StartSpan("par.for")
-		sp.SetStr("name", name).
-			SetInt("items", int64(items)).
-			SetInt("workers", int64(st.Workers)).
-			SetInt("block", int64(chunk))
-		obs.SetGauge("par_workers", float64(st.Workers))
-	}
-	start := time.Now()
-	if items > 0 {
-		if st.Workers == 1 {
-			// inline fast path: no goroutines, no atomics, no extra allocs
-			for i := 0; i < items; i++ {
-				body(0, i)
-			}
-			st.PerWorker[0] = items
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < st.Workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					for {
-						lo := int(next.Add(int64(chunk))) - chunk
-						if lo >= items {
-							return
-						}
-						hi := lo + chunk
-						if hi > items {
-							hi = items
-						}
-						for i := lo; i < hi; i++ {
-							body(w, i)
-						}
-						st.PerWorker[w] += hi - lo // w-private slot; published by wg.Wait
-					}
-				}(w)
-			}
-			wg.Wait()
+	chunk := items / (Workers(requested, items) * ChunksPerWorker)
+	return ForBlocks(name, requested, items, chunk, func(w, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			body(w, i)
 		}
-	}
-	st.Wall = time.Since(start)
-	if obs.Enabled() {
-		for _, cnt := range st.PerWorker {
-			obs.ObserveWith("par_items_per_worker", float64(cnt), obs.ExpBuckets(1, 2, 13))
-		}
-	}
-	if sp != nil {
-		sp.End()
-	}
-	return st
+	})
 }
 
-// chunksPerWorker controls dynamic-scheduling granularity: each worker's
+// ChunksPerWorker controls dynamic-scheduling granularity: each worker's
 // share is split into this many chunks so stragglers can be stolen.
-const chunksPerWorker = 8
+const ChunksPerWorker = 8
 
 // ForErr runs body(worker, i) for every i in [0, items) on the pool and
 // collects per-item errors. Every item runs even when an early one fails
@@ -156,24 +103,22 @@ func ForErr(name string, requested, items int, body func(worker, i int) error) (
 func ForBlocks(name string, requested, items, block int, body func(worker, lo, hi int)) *Stats {
 	st := &Stats{Requested: requested, Items: items, Workers: Workers(requested, items)}
 	st.PerWorker = make([]int, st.Workers)
-	if block < 1 {
-		block = 1
-	}
+	chunk := max(block, 1)
 	var sp *obs.Span
 	if obs.Enabled() {
 		sp = obs.StartSpan("par.for")
 		sp.SetStr("name", name).
 			SetInt("items", int64(items)).
 			SetInt("workers", int64(st.Workers)).
-			SetInt("block", int64(block))
+			SetInt("block", int64(chunk))
 		obs.SetGauge("par_workers", float64(st.Workers))
 	}
 	start := time.Now()
 	if items > 0 {
 		if st.Workers == 1 {
 			// inline fast path: no goroutines, no atomics
-			for lo := 0; lo < items; lo += block {
-				hi := lo + block
+			for lo := 0; lo < items; lo += chunk {
+				hi := lo + chunk
 				if hi > items {
 					hi = items
 				}
@@ -188,11 +133,11 @@ func ForBlocks(name string, requested, items, block int, body func(worker, lo, h
 				go func(w int) {
 					defer wg.Done()
 					for {
-						lo := int(next.Add(int64(block))) - block
+						lo := int(next.Add(int64(chunk))) - chunk
 						if lo >= items {
 							return
 						}
-						hi := lo + block
+						hi := lo + chunk
 						if hi > items {
 							hi = items
 						}

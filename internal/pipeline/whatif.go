@@ -35,26 +35,8 @@ type WhatIfResult struct {
 	Surviving int
 }
 
-// WhatIfRemovals evaluates every removal variant against a featurized
-// pipeline output: for each variant it selects the output rows whose
-// provenance survives the removal, retrains a fresh model, and reports the
-// metric. Correctness relies on the provenance contract verified in the
-// pipeline tests (polynomial evaluation ≡ pipeline replay): the results
-// equal full replays at a fraction of the cost.
-//
-// Variants are evaluated concurrently on the shared worker pool (every
-// variant's filter → subset → retrain → evaluate chain is independent);
-// this is WhatIfRemovalsParallel with the automatic worker count. newModel
-// must be safe to call from concurrent goroutines — returning a fresh
-// classifier per call, as every existing factory does, is sufficient.
-func WhatIfRemovals(ft *Featurized, variants []RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset) ([]WhatIfResult, error) {
-	return WhatIfRemovalsParallel(ft, variants, newModel, valid, 0)
-}
-
-// WhatIfRemovalsParallel is WhatIfRemovals with an explicit worker count
-// (<= 0 = GOMAXPROCS). Results are reduced in variant order, so the output
-// — including which error is reported when several variants fail — is
-// bit-for-bit identical for any worker count, including 1.
+// WhatIfRemovalsParallel is WhatIfRemovalsConfig with only the worker
+// count set (<= 0 = GOMAXPROCS, 1 = serial).
 func WhatIfRemovalsParallel(ft *Featurized, variants []RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset, workers int) ([]WhatIfResult, error) {
 	return WhatIfRemovalsConfig(ft, variants, newModel, valid, WhatIfConfig{Workers: workers})
 }
@@ -71,7 +53,22 @@ type WhatIfConfig struct {
 	ForceRebuild bool
 }
 
-// WhatIfRemovalsConfig is the fully configurable what-if evaluator. When
+// WhatIfRemovalsConfig evaluates every removal variant against a
+// featurized pipeline output: for each variant it selects the output rows
+// whose provenance survives the removal, retrains a fresh model, and
+// reports the metric. Correctness relies on the provenance contract
+// verified in the pipeline tests (polynomial evaluation ≡ pipeline
+// replay): the results equal full replays at a fraction of the cost.
+//
+// Variants are evaluated concurrently on the shared worker pool (every
+// variant's filter → subset → retrain → evaluate chain is independent).
+// Results are reduced in variant order, so the output — including which
+// error is reported when several variants fail — is bit-for-bit identical
+// for any worker count, including 1. newModel must be safe to call from
+// concurrent goroutines; returning a fresh classifier per call, as every
+// existing factory does, is sufficient.
+//
+// When
 // the model factory produces a *ml.KNN (the default debugging model), each
 // removal variant is answered by DERIVING an index from one shared base
 // over the full featurized data (ml.NeighborIndex.RemoveRows): the
@@ -80,7 +77,7 @@ type WhatIfConfig struct {
 // Non-kNN factories use the generic retrain path unchanged.
 func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset, cfg WhatIfConfig) ([]WhatIfResult, error) {
 	if newModel == nil {
-		return nil, fmt.Errorf("pipeline: WhatIfRemovals needs a model factory")
+		return nil, fmt.Errorf("pipeline: WhatIfRemovalsConfig needs a model factory")
 	}
 	workers := cfg.Workers
 	sp := obs.StartSpan("pipeline.whatif")
@@ -211,42 +208,4 @@ func evalRemovalVariantKNN(ft *Featurized, v RemovalVariant, base *ml.NeighborIn
 		return WhatIfResult{}, err
 	}
 	return WhatIfResult{Name: v.Name, Metric: ml.Accuracy(valid.Y, preds), Surviving: len(keep)}, nil
-}
-
-// CompareWithReplay runs a removal variant both ways — via the provenance
-// shortcut and via a full pipeline replay + featurize — and returns both
-// metrics. Used by tests and benchmarks to validate and quantify the
-// optimization.
-func CompareWithReplay(
-	p *Pipeline,
-	outNode *Node,
-	ft *Featurized,
-	variant RemovalVariant,
-	featurize func(*Result) (*ml.Dataset, error),
-	newModel func() ml.Classifier,
-	valid *ml.Dataset,
-) (fast, slow float64, err error) {
-	fastRes, err := WhatIfRemovals(ft, []RemovalVariant{variant}, newModel, valid)
-	if err != nil {
-		return 0, 0, err
-	}
-	fast = fastRes[0].Metric
-
-	removed := make(map[prov.TupleID]bool, len(variant.Remove))
-	for _, id := range variant.Remove {
-		removed[id] = true
-	}
-	replayed, err := p.Replay(outNode, func(id prov.TupleID) bool { return removed[id] })
-	if err != nil {
-		return 0, 0, err
-	}
-	train, err := featurize(replayed)
-	if err != nil {
-		return 0, 0, err
-	}
-	slow, err = ml.EvaluateAccuracy(newModel(), train, valid)
-	if err != nil {
-		return 0, 0, err
-	}
-	return fast, slow, nil
 }

@@ -67,7 +67,7 @@ func TestWhatIfDeltaNonKNNFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, err := WhatIfRemovals(ft, variants, newModel, valid)
+	oracle, err := WhatIfRemovalsConfig(ft, variants, newModel, valid, WhatIfConfig{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

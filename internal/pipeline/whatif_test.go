@@ -67,7 +67,7 @@ func TestWhatIfRemovalsBasic(t *testing.T) {
 			{Table: "train", Row: 4},
 		}},
 	}
-	results, err := WhatIfRemovals(ft, variants, newModel, valid)
+	results, err := WhatIfRemovalsConfig(ft, variants, newModel, valid, WhatIfConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestWhatIfRemovalsBasic(t *testing.T) {
 	if results[0].Metric < 0.8 {
 		t.Errorf("baseline metric = %v", results[0].Metric)
 	}
-	if _, err := WhatIfRemovals(ft, variants, nil, valid); err == nil {
+	if _, err := WhatIfRemovalsConfig(ft, variants, nil, valid, WhatIfConfig{}); err == nil {
 		t.Error("expected error for nil model factory")
 	}
 }
@@ -116,12 +116,27 @@ func TestQuickWhatIfEqualsReplay(t *testing.T) {
 		if len(remove) >= 39 {
 			return true // avoid emptying the training set
 		}
-		fast, slow, err := CompareWithReplay(p, node, ft,
-			RemovalVariant{Name: "rand", Remove: remove}, featurize, newModel, valid)
+		fast, err := WhatIfRemovalsConfig(ft, []RemovalVariant{{Name: "rand", Remove: remove}}, newModel, valid, WhatIfConfig{})
 		if err != nil {
 			return false
 		}
-		return fast == slow
+		removed := make(map[prov.TupleID]bool, len(remove))
+		for _, id := range remove {
+			removed[id] = true
+		}
+		replayed, err := p.Replay(node, func(id prov.TupleID) bool { return removed[id] })
+		if err != nil {
+			return false
+		}
+		train, err := featurize(replayed)
+		if err != nil {
+			return false
+		}
+		slow, err := ml.EvaluateAccuracy(newModel(), train, valid)
+		if err != nil {
+			return false
+		}
+		return fast[0].Metric == slow
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
@@ -256,7 +271,7 @@ func TestWhatIfRemovalsAllTuplesRemoved(t *testing.T) {
 		{Name: "everything", Remove: all},
 		{Name: "drop-2", Remove: all[:2]},
 	}
-	results, err := WhatIfRemovals(ft, variants, newModel, valid)
+	results, err := WhatIfRemovalsConfig(ft, variants, newModel, valid, WhatIfConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,16 @@ func TestSingleflightSameKey(t *testing.T) {
 			got[c] = v
 		}(c)
 	}
-	// let every caller reach the store before the build can finish
+	// let every caller reach the store before the build can finish: the
+	// waits counter is incremented before a caller blocks on the flight
 	waitInflight(t, s, 1)
+	deadline := time.Now().Add(5 * time.Second)
+	for obs.Default().Counter("st_sf_waits_total").Value() < callers-1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("timeout waiting for %d callers to block on the flight", callers-1)
+		}
+		runtime.Gosched()
+	}
 	close(release)
 	wg.Wait()
 
@@ -90,8 +98,8 @@ func TestSingleflightSameKey(t *testing.T) {
 	if hits != callers-1 {
 		t.Errorf("hits = %d, want %d", hits, callers-1)
 	}
-	if waits == 0 {
-		t.Error("waits = 0, want > 0 (callers should have blocked on the flight)")
+	if waits != callers-1 {
+		t.Errorf("waits = %d, want %d (every later caller blocks on the flight)", waits, callers-1)
 	}
 }
 

@@ -3,7 +3,9 @@
 # them as JSON (name, ns/op, allocs/op, B/op) so the perf trajectory is
 # tracked PR-over-PR. Each file carries a "meta" header (git SHA, Go
 # version, GOMAXPROCS, UTC date) so numbers from different machines and
-# commits stay comparable. Four series are emitted: the importance/pipeline
+# commits stay comparable. GOMAXPROCS is the value the benchmarks actually
+# ran with: the -N suffix `go test` appends to benchmark names (no suffix
+# means 1). Four series are emitted: the importance/pipeline
 # hot paths (BENCH_importance.json), the what-if fan-out (BENCH_whatif.json),
 # the exact-vs-IVF neighbor-search gate (BENCH_neighbor.json, which also
 # records the recall@10 of the IVF run), and the delta-vs-rebuild
@@ -28,7 +30,6 @@ trap 'rm -f "$tmp"' EXIT
 
 git_sha="$(git rev-parse HEAD 2>/dev/null || echo unknown)"
 go_version="$(go version | awk '{print $3}')"
-gomaxprocs="${GOMAXPROCS:-$(nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 0)}"
 run_date="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
 
 # run_bench FILTER OUTPUT — run one benchmark series and write its JSON
@@ -36,17 +37,14 @@ run_bench() {
     echo "==> go test -bench '$1' -benchmem -benchtime $benchtime ."
     go test -run '^$' -bench "$1" -benchmem -benchtime "$benchtime" . | tee "$tmp"
 
-    awk -v git_sha="$git_sha" -v go_version="$go_version" \
-        -v gomaxprocs="$gomaxprocs" -v run_date="$run_date" '
-BEGIN {
-    printf "{\n"
-    printf "  \"meta\": {\"git_sha\": \"%s\", \"go_version\": \"%s\", \"gomaxprocs\": %s, \"date\": \"%s\"},\n", git_sha, go_version, gomaxprocs, run_date
-    print "  \"benchmarks\": ["
-    first = 1
-}
+    awk -v git_sha="$git_sha" -v go_version="$go_version" -v run_date="$run_date" '
+BEGIN { gomaxprocs = 1; body = "" }
 /^Benchmark/ {
     name = $1
-    sub(/-[0-9]+$/, "", name)   # strip the -GOMAXPROCS suffix
+    if (match(name, /-[0-9]+$/)) {   # the -GOMAXPROCS suffix
+        gomaxprocs = substr(name, RSTART + 1)
+        name = substr(name, 1, RSTART - 1)
+    }
     ns = ""; bytes = ""; allocs = ""; recall = ""
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op")     ns = $i
@@ -55,15 +53,20 @@ BEGIN {
         if ($(i+1) == "recall@10") recall = $i
     }
     if (ns == "") next
-    if (!first) printf ",\n"
-    first = 0
-    printf "    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns
-    if (bytes != "")  printf ", \"bytes_per_op\": %s", bytes
-    if (allocs != "") printf ", \"allocs_per_op\": %s", allocs
-    if (recall != "") printf ", \"recall_at_10\": %s", recall
-    printf "}"
+    if (body != "") body = body ",\n"
+    body = body sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns)
+    if (bytes != "")  body = body sprintf(", \"bytes_per_op\": %s", bytes)
+    if (allocs != "") body = body sprintf(", \"allocs_per_op\": %s", allocs)
+    if (recall != "") body = body sprintf(", \"recall_at_10\": %s", recall)
+    body = body "}"
 }
-END { print "\n  ]\n}" }
+END {
+    printf "{\n"
+    printf "  \"meta\": {\"git_sha\": \"%s\", \"go_version\": \"%s\", \"gomaxprocs\": %s, \"date\": \"%s\"},\n", git_sha, go_version, gomaxprocs, run_date
+    print "  \"benchmarks\": ["
+    print body
+    print "  ]\n}"
+}
 ' "$tmp" > "$2"
 
     echo "==> wrote $2"

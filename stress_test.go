@@ -107,7 +107,7 @@ func newStressFixture(t *testing.T, id int) *stressFixture {
 	if fx.baseShapley, err = nde.KNNShapleyValues(s.Train, s.Valid, 5); err != nil {
 		t.Fatal(err)
 	}
-	if fx.baseWhatIf, err = nde.WhatIfParallel(fx.ft, fx.variants, fx.validLike, 1); err != nil {
+	if fx.baseWhatIf, err = nde.WhatIf(fx.ft, fx.variants, fx.validLike, nde.WhatIfOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if fx.baseCleaning, err = nde.IterativeCleaning(fx.dirty, fx.valid, fx.test, fx.truth, 4, 8); err != nil {
@@ -133,7 +133,7 @@ func (fx *stressFixture) checkShapley() error {
 }
 
 func (fx *stressFixture) checkWhatIf() error {
-	got, err := nde.WhatIfParallel(fx.ft, fx.variants, fx.validLike, 0)
+	got, err := nde.WhatIf(fx.ft, fx.variants, fx.validLike, nde.WhatIfOptions{})
 	if err != nil {
 		return fmt.Errorf("dataset %d what-if: %w", fx.id, err)
 	}

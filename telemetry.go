@@ -12,8 +12,8 @@ import (
 // facade entry point appends exactly one "op" record per call — op name,
 // wall-clock duration, input row count, worker count, neighbor-index
 // cache outcome, and the nderr sentinel class when the call failed.
-// Delegating wrappers (WhatIf -> WhatIfParallel, EstimateWithZorro ->
-// ZorroAnalysis, LoadRecommendationLetters -> ScenarioFromData) record in
+// Delegating wrappers (EstimateWithZorro -> ZorroAnalysis,
+// LoadRecommendationLetters -> ScenarioFromData) record in
 // the inner function only, preserving the one-record-per-call invariant.
 //
 // With no ledger installed the hooks cost one atomic load and allocate
