@@ -82,24 +82,6 @@ func (c Config) withDefaults(n int) Config {
 	return c
 }
 
-// Fingerprint hashes the search-relevant knobs; the neighbor-index cache
-// mixes it into its key so indexes built under different ANN configs never
-// alias.
-func (c Config) Fingerprint() uint64 {
-	const prime64 = 1099511628211
-	h := uint64(14695981039346656037)
-	for _, v := range []uint64{
-		uint64(int64(c.NLists)), uint64(int64(c.NProbe)),
-		uint64(int64(c.KMeansIters)), uint64(c.Seed), uint64(int64(c.ProjectDim)),
-	} {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	return h
-}
-
 // Index is a built IVF index over one training matrix. Safe for concurrent
 // queries after Build; SetNProbe is not synchronized and belongs to the
 // owner's setup phase.
@@ -320,9 +302,7 @@ func (ix *Index) Config() Config { return ix.cfg }
 type Scratch struct {
 	cd    []distIdx32 // centroid distances
 	cand  []distIdx32 // k-best insertion buffer of the candidate scan
-	query []float32   // float64→float32 staging for TopK64
-	route []float32   // projected-query staging (distinct from query:
-	// TopK64 stages into query, and projecting must not overwrite it)
+	route []float32   // projected-query staging
 }
 
 // TopK returns up to k row indices nearest to q (a float32 vector in the
@@ -430,21 +410,6 @@ func (ix *Index) TopK(q []float32, k int, scratch *Scratch) []int {
 		out[i] = int(p.i)
 	}
 	return out
-}
-
-// TopK64 is TopK for a float64 query vector, truncating it to float32.
-func (ix *Index) TopK64(q []float64, k int, scratch *Scratch) []int {
-	if scratch == nil {
-		scratch = &Scratch{}
-	}
-	if cap(scratch.query) < len(q) {
-		scratch.query = make([]float32, len(q))
-	}
-	q32 := scratch.query[:len(q)]
-	for i, v := range q {
-		q32[i] = float32(v)
-	}
-	return ix.TopK(q32, k, scratch)
 }
 
 // projectVec maps one original-space vector through the routing

@@ -195,26 +195,6 @@ func TestIVFShortListsAndErrors(t *testing.T) {
 	}
 }
 
-// Config fingerprints must separate every search-relevant knob.
-func TestConfigFingerprint(t *testing.T) {
-	base := Config{NLists: 16, NProbe: 4, KMeansIters: 6, Seed: 1, ProjectDim: 0}
-	variants := []Config{
-		{NLists: 17, NProbe: 4, KMeansIters: 6, Seed: 1},
-		{NLists: 16, NProbe: 5, KMeansIters: 6, Seed: 1},
-		{NLists: 16, NProbe: 4, KMeansIters: 7, Seed: 1},
-		{NLists: 16, NProbe: 4, KMeansIters: 6, Seed: 2},
-		{NLists: 16, NProbe: 4, KMeansIters: 6, Seed: 1, ProjectDim: 8},
-	}
-	for i, v := range variants {
-		if v.Fingerprint() == base.Fingerprint() {
-			t.Errorf("variant %d collides with base", i)
-		}
-	}
-	if base.Fingerprint() != (Config{NLists: 16, NProbe: 4, KMeansIters: 6, Seed: 1}).Fingerprint() {
-		t.Error("identical configs fingerprint differently")
-	}
-}
-
 func BenchmarkIVFTopK(b *testing.B) {
 	r := rand.New(rand.NewSource(40))
 	data := clusteredData(r, 5000, 16, 32, 1.0)

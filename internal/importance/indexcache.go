@@ -1,11 +1,7 @@
 package importance
 
 import (
-	"fmt"
-	"sync"
-
 	"nde/internal/ml"
-	"nde/internal/nderr"
 	"nde/internal/obs"
 	"nde/internal/store"
 )
@@ -14,13 +10,19 @@ import (
 // geometry, and callers (iterative cleaning, repeated experiments,
 // benchmarks, concurrent serving requests) invoke them many times over
 // datasets whose *features* never change — only labels do. This cache
-// shares one ml.NeighborIndex per distinct (train.X, valid.X, search
-// config) triple through a content-addressed artifact store
-// (internal/store), so the distance matrix and the per-query neighbor
-// orders are computed exactly once and reused across calls. Keys are
-// content fingerprints (linalg.Matrix.Fingerprint), not pointer
-// identities, so in-place feature mutations are detected and get a fresh
-// index.
+// shares one exact ml.NeighborIndex per distinct (train.X, valid.X) pair
+// through a content-addressed artifact store (internal/store), so the
+// distance matrix and the per-query neighbor orders are computed exactly
+// once and reused across calls. Keys are content fingerprints
+// (linalg.Matrix.Fingerprint), not pointer identities, so in-place feature
+// mutations are detected and get a fresh index.
+//
+// Cached indexes are always exact. The kNN-Shapley closed form reads the
+// full ranking (Order), which is exact under every search mode, so a mode
+// could not change any score; the one TopK reader of a cached index (the
+// facade's DebugSession accuracy) thereby stays exact before and after
+// delta removals alike. Approximate top-k search is opt-in per index
+// through ml.NewNeighborIndexSearch and never enters this cache.
 //
 // Concurrency: lookups are singleflight and eviction is LRU over ready
 // entries only — an in-flight build is never evicted, so concurrent
@@ -40,76 +42,24 @@ import (
 
 type indexKey struct {
 	trainFP, validFP uint64
-	searchFP         uint64 // ml.SearchConfig fingerprint: mode/nprobe/seed knobs
 }
 
-// defaultIndexCacheCapacity is the initial LRU bound;
-// SetIndexCacheCapacity changes it.
-const defaultIndexCacheCapacity = 4
+// indexCacheCapacity is the LRU bound: enough for a root geometry plus
+// the delta-derived children an iterative cleaning loop keeps live.
+const indexCacheCapacity = 4
 
 // indexStore is the shared neighbor-index artifact store. The metric
-// prefix preserves the counter names the cache has exported since PR 2.
-var indexStore = store.New[indexKey, *ml.NeighborIndex]("importance_neighbor_index", defaultIndexCacheCapacity)
-
-var (
-	searchMu    sync.Mutex
-	indexSearch ml.SearchConfig
-)
-
-// SetNeighborSearch sets the search configuration every subsequently built
-// shared index uses. The config fingerprint is part of the cache key, so
-// indexes built under a previous config are not aliased — they simply age
-// out of the LRU. The kNN-Shapley paths consume the full exact ranking
-// (Order) regardless of mode; the mode matters for TopK consumers sharing
-// the cache, such as the facade's neighbor search.
-func SetNeighborSearch(cfg ml.SearchConfig) {
-	searchMu.Lock()
-	indexSearch = cfg
-	searchMu.Unlock()
-}
-
-// NeighborSearch returns the search configuration shared indexes are built
-// with.
-func NeighborSearch() ml.SearchConfig {
-	searchMu.Lock()
-	defer searchMu.Unlock()
-	return indexSearch
-}
-
-// SetIndexCacheCapacity resizes the neighbor-index LRU and returns the
-// previous capacity. Shrinking evicts the least recently used ready
-// entries immediately; each eviction is counted in
-// importance_neighbor_index_evictions_total like any other. In-flight
-// builds are never evicted by a shrink — the store trims back to the new
-// bound as they complete.
-//
-// n must be >= 1: a zero or negative capacity would silently clamp and
-// leave the caller believing the cache was disabled, so it is rejected
-// with a wrapped nderr.ErrDegenerateInput and the capacity is unchanged
-// (the current value is returned alongside the error).
-func SetIndexCacheCapacity(n int) (int, error) {
-	if n < 1 {
-		return indexStore.Capacity(), fmt.Errorf("importance: index cache capacity %d, need >= 1: %w", n, nderr.ErrDegenerateInput)
-	}
-	return indexStore.SetCapacity(n), nil
-}
-
-// IndexCacheCapacity returns the current LRU capacity.
-func IndexCacheCapacity() int { return indexStore.Capacity() }
+// prefix keeps the cache's established counter names.
+var indexStore = store.New[indexKey, *ml.NeighborIndex]("importance_neighbor_index", indexCacheCapacity)
 
 // sharedNeighborIndex returns the cached NeighborIndex for (train, valid)
 // — valid rows are the queries — building and caching it on a miss. Safe
 // for concurrent use; concurrent callers for the same geometry share one
 // build.
 func sharedNeighborIndex(train, valid *ml.Dataset, workers int) (*ml.NeighborIndex, error) {
-	search := NeighborSearch()
-	key := indexKey{
-		trainFP:  train.X.Fingerprint(),
-		validFP:  valid.X.Fingerprint(),
-		searchFP: search.Fingerprint(),
-	}
+	key := indexKey{trainFP: train.X.Fingerprint(), validFP: valid.X.Fingerprint()}
 	return indexStore.GetOrBuild(key, func() (*ml.NeighborIndex, error) {
-		return ml.NewNeighborIndexSearch(train, valid, workers, search)
+		return ml.NewNeighborIndex(train, valid, workers)
 	})
 }
 
@@ -119,11 +69,7 @@ func sharedNeighborIndex(train, valid *ml.Dataset, workers int) (*ml.NeighborInd
 // derives child entries from parents. First build wins on collision
 // (store.Put semantics); the counter tracks successful registrations.
 func registerDerivedIndex(ix *ml.NeighborIndex, validFP uint64) {
-	key := indexKey{
-		trainFP:  ix.Train.X.Fingerprint(),
-		validFP:  validFP,
-		searchFP: NeighborSearch().Fingerprint(),
-	}
+	key := indexKey{trainFP: ix.Train.X.Fingerprint(), validFP: validFP}
 	if indexStore.Put(key, ix) && obs.Enabled() {
 		obs.Inc("importance_neighbor_index_derived_total")
 	}

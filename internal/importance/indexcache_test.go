@@ -1,15 +1,14 @@
 package importance
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 
 	"nde/internal/ml"
-	"nde/internal/nderr"
 	"nde/internal/obs"
+	"nde/internal/store"
 )
 
 // Every kNN-Shapley entry point — serial, pooled at any worker count, and
@@ -125,14 +124,14 @@ func TestSharedNeighborIndexLabelAndFeatureMutations(t *testing.T) {
 func TestSharedNeighborIndexCacheEviction(t *testing.T) {
 	ResetNeighborIndexCache()
 	defer ResetNeighborIndexCache()
-	for i := 0; i < IndexCacheCapacity()+2; i++ {
+	for i := 0; i < indexCacheCapacity+2; i++ {
 		train := blobs(20, 1.5, int64(910+i))
 		valid := blobs(10, 1.5, int64(930+i))
 		if _, err := KNNShapley(3, train, valid); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := indexStore.Len(), IndexCacheCapacity(); got != want {
+	if got, want := indexStore.Len(), indexCacheCapacity; got != want {
 		t.Errorf("cache holds %d entries, want %d", got, want)
 	}
 }
@@ -208,7 +207,7 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 	}
 	const goroutines = 6
 	const iters = 8
-	bound := IndexCacheCapacity() + goroutines
+	bound := indexCacheCapacity + goroutines
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -221,7 +220,7 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 					return
 				}
 				if nc := indexStore.Len(); nc > bound {
-					t.Errorf("cache grew past bound: %d entries, max %d + %d in flight", nc, IndexCacheCapacity(), goroutines)
+					t.Errorf("cache grew past bound: %d entries, max %d + %d in flight", nc, indexCacheCapacity, goroutines)
 					return
 				}
 			}
@@ -229,7 +228,7 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 	}
 	wg.Wait()
 
-	if nc, want := indexStore.Len(), IndexCacheCapacity(); nc != want {
+	if nc, want := indexStore.Len(), indexCacheCapacity; nc != want {
 		t.Errorf("final cache size %d, want %d", nc, want)
 	}
 	misses := obs.Default().Counter("importance_neighbor_index_misses_total").Value()
@@ -237,8 +236,8 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 	if misses < datasets {
 		t.Errorf("misses = %d, want >= %d distinct geometries", misses, datasets)
 	}
-	if evictions != misses-int64(IndexCacheCapacity()) {
-		t.Errorf("evictions = %d, want misses-cap = %d", evictions, misses-int64(IndexCacheCapacity()))
+	if evictions != misses-int64(indexCacheCapacity) {
+		t.Errorf("evictions = %d, want misses-cap = %d", evictions, misses-int64(indexCacheCapacity))
 	}
 }
 
@@ -254,13 +253,10 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	defer obs.Disable()
 	defer obs.Reset()
 	obs.Reset()
-	ResetNeighborIndexCache()
-	defer ResetNeighborIndexCache()
-	prev, err := SetIndexCacheCapacity(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetIndexCacheCapacity(prev)
+	// churn needs a capacity-1 store: swap one in for this test only
+	prev := indexStore
+	indexStore = store.New[indexKey, *ml.NeighborIndex]("importance_neighbor_index", 1)
+	defer func() { indexStore = prev }()
 
 	// A is deliberately large so its index build is still in flight while
 	// the tiny churn geometry B is built and evicted around it.
@@ -288,12 +284,8 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	}
 	close(start)
 	// churn while A's build is (very likely) in flight: build B at
-	// capacity 1, which under the old FIFO evicted in-flight A, and
-	// exercise the SetIndexCacheCapacity shrink path too
+	// capacity 1, which under the old FIFO evicted in-flight A
 	if _, err := sharedNeighborIndex(trainB, validB, 1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := SetIndexCacheCapacity(1); err != nil {
 		t.Fatal(err)
 	}
 	// stragglers arrive strictly after the churn: they must join A's
@@ -323,8 +315,9 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	}
 }
 
-// The FIFO capacity is configurable; the obs eviction counter must track
-// exactly the configured cap, and shrinking evicts immediately.
+// The capacity is the constant indexCacheCapacity: every build past it
+// evicts exactly one entry, accounted in the obs eviction counter, and the
+// least recently used geometry is the one that goes.
 func TestIndexCacheCapacityConfigurable(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
@@ -332,93 +325,50 @@ func TestIndexCacheCapacityConfigurable(t *testing.T) {
 	obs.Reset()
 	ResetNeighborIndexCache()
 	defer ResetNeighborIndexCache()
-	prev, err := SetIndexCacheCapacity(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetIndexCacheCapacity(prev)
-	if got := IndexCacheCapacity(); got != 2 {
-		t.Fatalf("capacity = %d, want 2", got)
-	}
 
-	const builds = 5
+	const builds = indexCacheCapacity + 3
+	geometry := func(i int) (*ml.Dataset, *ml.Dataset) {
+		return blobs(15, 1.5, int64(1400+i)), blobs(8, 1.5, int64(1500+i))
+	}
 	for i := 0; i < builds; i++ {
-		train := blobs(15, 1.5, int64(1400+i))
-		valid := blobs(8, 1.5, int64(1500+i))
+		train, valid := geometry(i)
 		if _, err := sharedNeighborIndex(train, valid, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
-	evictions := obs.Default().Counter("importance_neighbor_index_evictions_total").Value()
-	if want := int64(builds - 2); evictions != want {
-		t.Errorf("evictions = %d, want builds-cap = %d", evictions, want)
+	counter := func(name string) int64 { return obs.Default().Counter(name).Value() }
+	if got := counter("importance_neighbor_index_misses_total"); got != builds {
+		t.Errorf("misses = %d, want one per distinct geometry = %d", got, builds)
 	}
-	if nc := indexStore.Len(); nc != 2 {
-		t.Errorf("cache holds %d entries, want the configured cap 2", nc)
+	if got, want := counter("importance_neighbor_index_evictions_total"), int64(builds-indexCacheCapacity); got != want {
+		t.Errorf("evictions = %d, want builds-cap = %d", got, want)
+	}
+	if nc := indexStore.Len(); nc != indexCacheCapacity {
+		t.Errorf("cache holds %d entries, want the capacity %d", nc, indexCacheCapacity)
 	}
 
-	// shrinking below the current population evicts immediately
-	if _, err := SetIndexCacheCapacity(1); err != nil {
-		t.Fatal(err)
-	}
-	if nc := indexStore.Len(); nc != 1 {
-		t.Errorf("after shrink: %d entries, want 1", nc)
-	}
-	if got := obs.Default().Counter("importance_neighbor_index_evictions_total").Value(); got != evictions+1 {
-		t.Errorf("shrink evictions = %d, want %d", got, evictions+1)
-	}
-	for _, bad := range []int{0, -3} {
-		got, err := SetIndexCacheCapacity(bad)
-		if !errors.Is(err, nderr.ErrDegenerateInput) {
-			t.Errorf("SetIndexCacheCapacity(%d) err = %v, want ErrDegenerateInput", bad, err)
-		}
-		if got != 1 {
-			t.Errorf("SetIndexCacheCapacity(%d) reports capacity %d, want unchanged 1", bad, got)
+	// the last indexCacheCapacity geometries are still cached: no new miss
+	for i := builds - indexCacheCapacity; i < builds; i++ {
+		train, valid := geometry(i)
+		if _, err := sharedNeighborIndex(train, valid, 1); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := IndexCacheCapacity(); got != 1 {
-		t.Errorf("capacity = %d, want unchanged 1", got)
+	if got := counter("importance_neighbor_index_misses_total"); got != builds {
+		t.Errorf("misses after revisiting the cached geometries = %d, want %d", got, builds)
 	}
-}
-
-// The cache key includes the search-config fingerprint: the same geometry
-// under a different search mode must be a distinct entry, never an alias.
-func TestIndexCacheKeyedBySearchConfig(t *testing.T) {
-	obs.Enable()
-	defer obs.Disable()
-	defer obs.Reset()
-	obs.Reset()
-	ResetNeighborIndexCache()
-	defer ResetNeighborIndexCache()
-	defer SetNeighborSearch(ml.SearchConfig{})
-
-	train := blobs(40, 1.5, 1600)
-	valid := blobs(20, 1.5, 1601)
-	exact, err := sharedNeighborIndex(train, valid, 1)
-	if err != nil {
+	// the oldest was evicted: asking again rebuilds it and evicts one more
+	train, valid := geometry(0)
+	if _, err := sharedNeighborIndex(train, valid, 1); err != nil {
 		t.Fatal(err)
 	}
-	SetNeighborSearch(ml.SearchConfig{Mode: ml.SearchAuto, ExactThreshold: 10, NProbe: 2})
-	if got := NeighborSearch().Mode; got != ml.SearchAuto {
-		t.Fatalf("NeighborSearch mode = %v, want auto", got)
+	if got := counter("importance_neighbor_index_misses_total"); got != builds+1 {
+		t.Errorf("misses after the evicted geometry = %d, want %d", got, builds+1)
 	}
-	approx, err := sharedNeighborIndex(train, valid, 1)
-	if err != nil {
-		t.Fatal(err)
+	if got, want := counter("importance_neighbor_index_evictions_total"), int64(builds-indexCacheCapacity+1); got != want {
+		t.Errorf("evictions = %d, want %d", got, want)
 	}
-	if exact == approx {
-		t.Fatal("same index instance served for different search configs")
-	}
-	if got := obs.Default().Counter("importance_neighbor_index_misses_total").Value(); got != 2 {
-		t.Errorf("misses = %d, want 2 (one per config)", got)
-	}
-	// back to the default config: the exact entry is still cached
-	SetNeighborSearch(ml.SearchConfig{})
-	again, err := sharedNeighborIndex(train, valid, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != exact {
-		t.Error("default-config lookup missed the cached exact index")
+	if nc := indexStore.Len(); nc != indexCacheCapacity {
+		t.Errorf("cache holds %d entries, want the capacity %d", nc, indexCacheCapacity)
 	}
 }

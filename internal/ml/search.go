@@ -27,7 +27,7 @@ const (
 	SearchAuto
 )
 
-// String names the mode for logs and flags.
+// String names the mode for logs and spans.
 func (m SearchMode) String() string {
 	switch m {
 	case SearchIVF:
@@ -37,20 +37,6 @@ func (m SearchMode) String() string {
 	default:
 		return "exact"
 	}
-}
-
-// ParseSearchMode maps a flag string to a SearchMode ("exact", "ivf",
-// "auto"); unknown strings report false.
-func ParseSearchMode(s string) (SearchMode, bool) {
-	switch s {
-	case "exact", "":
-		return SearchExact, true
-	case "ivf":
-		return SearchIVF, true
-	case "auto":
-		return SearchAuto, true
-	}
-	return SearchExact, false
 }
 
 // Defaults of the Auto-mode contract; SearchConfig zero values resolve to
@@ -119,24 +105,6 @@ func (c SearchConfig) exactThreshold() int {
 		return DefaultExactThreshold
 	}
 	return c.ExactThreshold
-}
-
-// Fingerprint hashes every result-relevant knob, for cache keys: two
-// indexes over the same data but different search configs must never
-// alias.
-func (c SearchConfig) Fingerprint() uint64 {
-	h := c.annConfig(0).Fingerprint()
-	const prime64 = 1099511628211
-	mix := func(v uint64) {
-		for s := 0; s < 64; s += 8 {
-			h ^= (v >> s) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(int64(c.Mode)))
-	mix(uint64(int64(c.exactThreshold())))
-	mix(uint64(int64(c.recallFloor() * 1e6)))
-	return h
 }
 
 // searchState is the lazily built ANN side of a NeighborIndex.

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -32,6 +33,10 @@ func clusteredDataset(r *rand.Rand, n, dim, c, classes int) *Dataset {
 // Bit-identity: Exact mode under the new Mode plumbing must match the
 // default NeighborIndex (the pre-change behavior) exactly — same D2 bits,
 // same orders, same top-k, same batch predictions — across worker counts.
+// Approximation must stay inside TopK: an IVF or low-threshold Auto index
+// whose approximate backend has already served TopK still reports the
+// default index's D2 bits and Order ids, so full-ranking consumers
+// (kNN-Shapley) cannot observe the search mode.
 func TestExactModeBitIdenticalToDefaultIndex(t *testing.T) {
 	r := rand.New(rand.NewSource(51))
 	train := clusteredDataset(r, 120, 6, 5, 3)
@@ -40,38 +45,61 @@ func TestExactModeBitIdenticalToDefaultIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, w := range []int{1, 2, 4} {
-		ix, err := NewNeighborIndexSearch(train, queries, w, SearchConfig{Mode: SearchExact})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ix.EffectiveMode(); got != SearchExact {
-			t.Fatalf("workers=%d: effective mode %v, want exact", w, got)
-		}
-		bd2, gd2 := base.D2(), ix.D2()
-		for i := range bd2.Data {
-			if math.Float64bits(bd2.Data[i]) != math.Float64bits(gd2.Data[i]) {
-				t.Fatalf("workers=%d: D2 element %d differs bitwise", w, i)
+	for _, tc := range []struct {
+		cfg    SearchConfig
+		approx bool // TopK may differ; D2 and Order may not
+	}{
+		{SearchConfig{Mode: SearchExact}, false},
+		{SearchConfig{Mode: SearchIVF, Seed: 2}, true},
+		{SearchConfig{Mode: SearchAuto, ExactThreshold: 10, Seed: 2}, true},
+	} {
+		for _, w := range []int{1, 2, 4} {
+			name := fmt.Sprintf("%v workers=%d", tc.cfg.Mode, w)
+			ix, err := NewNeighborIndexSearch(train, queries, w, tc.cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for q := 0; q < queries.Len(); q++ {
-			bo, gg := base.Order(q), ix.Order(q)
-			for i := range bo {
-				if bo[i] != gg[i] {
-					t.Fatalf("workers=%d query %d: order rank %d differs", w, q, i)
+			if tc.approx {
+				// build the approximate backend and serve from it first
+				for q := 0; q < queries.Len(); q++ {
+					ix.TopK(q, 7)
+				}
+				if ix.EffectiveMode() != SearchIVF {
+					t.Fatalf("%s: effective mode %v, want ivf", name, ix.EffectiveMode())
+				}
+			} else if got := ix.EffectiveMode(); got != SearchExact {
+				t.Fatalf("%s: effective mode %v, want exact", name, got)
+			}
+			bd2, gd2 := base.D2(), ix.D2()
+			for i := range bd2.Data {
+				if math.Float64bits(bd2.Data[i]) != math.Float64bits(gd2.Data[i]) {
+					t.Fatalf("%s: D2 element %d differs bitwise", name, i)
 				}
 			}
-			bt, gt := base.TopK(q, 7), ix.TopK(q, 7)
-			for i := range bt {
-				if bt[i] != gt[i] {
-					t.Fatalf("workers=%d query %d: top-k rank %d differs", w, q, i)
+			for q := 0; q < queries.Len(); q++ {
+				bo, gg := base.Order(q), ix.Order(q)
+				for i := range bo {
+					if bo[i] != gg[i] {
+						t.Fatalf("%s query %d: order rank %d differs", name, q, i)
+					}
 				}
 			}
-		}
-		bp, gp := base.PredictBatch(5), ix.PredictBatch(5)
-		for q := range bp {
-			if bp[q] != gp[q] {
-				t.Fatalf("workers=%d: prediction %d differs", w, q)
+			if tc.approx {
+				continue
+			}
+			for q := 0; q < queries.Len(); q++ {
+				bt, gt := base.TopK(q, 7), ix.TopK(q, 7)
+				for i := range bt {
+					if bt[i] != gt[i] {
+						t.Fatalf("%s query %d: top-k rank %d differs", name, q, i)
+					}
+				}
+			}
+			bp, gp := base.PredictBatch(5), ix.PredictBatch(5)
+			for q := range bp {
+				if bp[q] != gp[q] {
+					t.Fatalf("%s: prediction %d differs", name, q)
+				}
 			}
 		}
 	}
@@ -223,29 +251,6 @@ func TestPredictBatchIVFMatchesPredictRow(t *testing.T) {
 	for q := range batch {
 		if want := ix.PredictRow(q, 5); batch[q] != want {
 			t.Fatalf("query %d: batch %d vs row %d", q, batch[q], want)
-		}
-	}
-}
-
-func TestParseSearchMode(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want SearchMode
-		ok   bool
-	}{
-		{"exact", SearchExact, true}, {"", SearchExact, true},
-		{"ivf", SearchIVF, true}, {"auto", SearchAuto, true},
-		{"fancy", SearchExact, false},
-	} {
-		got, ok := ParseSearchMode(tc.in)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("ParseSearchMode(%q) = (%v, %v), want (%v, %v)", tc.in, got, ok, tc.want, tc.ok)
-		}
-	}
-	for _, m := range []SearchMode{SearchExact, SearchIVF, SearchAuto} {
-		back, ok := ParseSearchMode(m.String())
-		if !ok || back != m {
-			t.Errorf("round trip of %v failed", m)
 		}
 	}
 }

@@ -96,17 +96,19 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // compute runs one budgeted computation, sync or async. Admission order:
-// drain check (503), then the concurrency budget (429 when both the
-// slots and the wait queue are full). The budget slot is held for the
-// whole computation — async runs hold theirs until the worker finishes —
-// and every computation is tracked so Drain can wait for it.
+// the drain slot (503 once draining), then the concurrency budget (429
+// when both the slots and the wait queue are full). Both slots are held
+// for the whole computation — async runs hold theirs until the worker
+// finishes — so Drain waits for it; a request the budget turns away
+// gives its drain slot straight back.
 func (s *Server) compute(w http.ResponseWriter, r *http.Request, op string, async bool, rows, workers int, fn func() (any, error)) {
 	obs.Inc("serve_requests_total")
-	if s.draining.Load() {
+	if !s.runs.admit() {
 		writeErr(w, http.StatusServiceUnavailable, "server is draining", "draining")
 		return
 	}
 	if err := s.budget.Acquire(r.Context()); err != nil {
+		s.runs.release()
 		if errors.Is(err, par.ErrBudgetExhausted) {
 			writeErr(w, http.StatusTooManyRequests, "concurrency budget exhausted, retry later", "busy")
 		} else {
@@ -129,8 +131,7 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, op string, asyn
 		return
 	}
 
-	s.runs.track()
-	defer s.runs.untrack()
+	defer s.runs.release()
 	defer s.budget.Release()
 	start := time.Now()
 	res, err := fn()

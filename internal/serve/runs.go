@@ -27,18 +27,24 @@ func (r *run) finished() bool {
 }
 
 // runRegistry tracks async runs and, through its WaitGroup, every
-// in-flight computation (sync ones too) so drain can wait for all of
+// admitted computation (sync ones too) so drain can wait for all of
 // them. Finished runs are retained for polling up to keep entries;
 // beyond that the oldest finished run is dropped (a poll for it then
 // 404s, which a client treats as "expired").
+//
+// Admission and drain serialize on mu: admit checks draining and adds to
+// the WaitGroup in one critical section, and drain sets draining under
+// the same lock before it waits. So no Add can race a Wait on a zero
+// counter, and once drain returns no admitted computation is running.
 type runRegistry struct {
-	mu    sync.Mutex
-	runs  map[string]*run
-	order []string // insertion order for bounded retention
-	seq   int
-	keep  int
+	mu       sync.Mutex
+	runs     map[string]*run
+	order    []string // insertion order for bounded retention
+	seq      int
+	keep     int
+	draining bool // set by drain; admit refuses from then on
 
-	wg sync.WaitGroup // in-flight computations, sync and async
+	wg sync.WaitGroup // admitted computations, sync and async
 }
 
 func newRunRegistry(keep int) *runRegistry {
@@ -48,8 +54,40 @@ func newRunRegistry(keep int) *runRegistry {
 	return &runRegistry{runs: map[string]*run{}, keep: keep}
 }
 
-// begin registers a new async run and returns it. The caller must call
-// finish exactly once.
+// admit reserves a drain slot for one computation, or reports false once
+// drain has begun. Every true return must be paired with exactly one
+// release — for an async run, finish releases it.
+func (g *runRegistry) admit() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.draining {
+		return false
+	}
+	g.wg.Add(1)
+	return true
+}
+
+// release gives back a slot taken by admit.
+func (g *runRegistry) release() { g.wg.Done() }
+
+// drain stops admission and blocks until every admitted computation has
+// released its slot.
+func (g *runRegistry) drain() {
+	g.mu.Lock()
+	g.draining = true
+	g.mu.Unlock()
+	g.wg.Wait()
+}
+
+// isDraining reports whether drain has been called.
+func (g *runRegistry) isDraining() bool {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.draining
+}
+
+// begin registers a new async run for an admitted computation and
+// returns it. The caller must call finish exactly once.
 func (g *runRegistry) begin(op string) *run {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -58,7 +96,6 @@ func (g *runRegistry) begin(op string) *run {
 	g.runs[r.id] = r
 	g.order = append(g.order, r.id)
 	g.trimLocked()
-	g.wg.Add(1)
 	return r
 }
 
@@ -66,7 +103,7 @@ func (g *runRegistry) begin(op string) *run {
 func (g *runRegistry) finish(r *run, result any, err error) {
 	r.result, r.err = result, err
 	close(r.done)
-	g.wg.Done()
+	g.release()
 }
 
 // get returns the run by id.
@@ -76,13 +113,6 @@ func (g *runRegistry) get(id string) (*run, bool) {
 	r, ok := g.runs[id]
 	return r, ok
 }
-
-// track/untrack wrap a synchronous computation in the drain WaitGroup.
-func (g *runRegistry) track()   { g.wg.Add(1) }
-func (g *runRegistry) untrack() { g.wg.Done() }
-
-// wait blocks until every tracked computation has finished.
-func (g *runRegistry) wait() { g.wg.Wait() }
 
 // trimLocked drops the oldest FINISHED runs beyond the retention bound.
 // Running entries are never dropped: their ids must stay pollable and

@@ -28,7 +28,6 @@ import (
 	"hash/fnv"
 	"net/http"
 	"sync"
-	"sync/atomic"
 
 	"nde/internal/frame"
 	"nde/internal/linalg"
@@ -101,8 +100,6 @@ type Server struct {
 	datasets map[string]*dataset
 	dsOrder  []string // registration order for bounded eviction
 
-	draining atomic.Bool
-
 	// Derived-artifact caches, all singleflight (internal/store):
 	// featurized tables keyed by dataset id, score vectors keyed by
 	// (dataset id, k), what-if responses keyed by (dataset id, variant
@@ -148,7 +145,7 @@ func (s *Server) Handler() http.Handler {
 	opsCfg := s.cfg.Ops
 	userReady := opsCfg.Ready
 	opsCfg.Ready = func() bool {
-		if s.draining.Load() {
+		if s.runs.isDraining() {
 			return false
 		}
 		return userReady == nil || userReady()
@@ -165,17 +162,14 @@ func (s *Server) Handler() http.Handler {
 }
 
 // Draining reports whether Drain has been called.
-func (s *Server) Draining() bool { return s.draining.Load() }
+func (s *Server) Draining() bool { return s.runs.isDraining() }
 
 // Drain stops admitting new computations (readiness flips false, compute
 // endpoints answer 503 class "draining") and blocks until every
 // in-flight computation — sync handlers and async runs — has finished.
 // The HTTP listener keeps serving so clients can poll /v1/runs for final
 // results; shutting the listener down afterwards is the caller's job.
-func (s *Server) Drain() {
-	s.draining.Store(true)
-	s.runs.wait()
-}
+func (s *Server) Drain() { s.runs.drain() }
 
 // registerDataset validates a registration request, builds the splits,
 // and stores the dataset under its content-addressed id. Registering

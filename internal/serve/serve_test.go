@@ -450,7 +450,9 @@ func TestDrain(t *testing.T) {
 	}
 
 	// simulate an in-flight computation so Drain has something to wait on
-	s.runs.track()
+	if !s.runs.admit() {
+		t.Fatal("admission refused before drain")
+	}
 	drained := make(chan struct{})
 	go func() {
 		s.Drain()
@@ -482,7 +484,7 @@ func TestDrain(t *testing.T) {
 		t.Fatal("Drain returned with a computation still in flight")
 	default:
 	}
-	s.runs.untrack()
+	s.runs.release()
 	select {
 	case <-drained:
 	case <-time.After(5 * time.Second):

@@ -26,7 +26,7 @@
 //	<name>_hits_total       ready entry served (possibly after a wait)
 //	<name>_misses_total     build started
 //	<name>_waits_total      caller blocked on another caller's build
-//	<name>_evictions_total  LRU eviction (bound or capacity shrink)
+//	<name>_evictions_total  LRU eviction past the capacity bound
 //	<name>_puts_total       pre-built artifact inserted via Put
 //	<name>_entries          gauge: current entry count
 //	<name>_inflight         gauge: builds currently running
@@ -58,10 +58,10 @@ func (e *entry[V]) isReady() bool {
 // Store is a bounded content-addressed artifact cache. The zero value is
 // not usable; use New. Safe for concurrent use.
 type Store[K comparable, V any] struct {
-	name string
+	name     string
+	capacity int // bound on ready entries, fixed at New
 
 	mu       sync.Mutex
-	capacity int
 	entries  map[K]*entry[V]
 	order    []K // recency order: order[0] is least recently used
 	inflight int
@@ -231,29 +231,6 @@ func (s *Store[K, V]) touchLocked(key K) {
 func (s *Store[K, V]) gaugesLocked() {
 	obs.SetGauge(s.name+"_entries", float64(len(s.entries)))
 	obs.SetGauge(s.name+"_inflight", float64(s.inflight))
-}
-
-// SetCapacity resizes the store (minimum 1) and returns the previous
-// capacity. Shrinking evicts least-recently-used ready entries immediately;
-// in-flight overflow trims as builds complete.
-func (s *Store[K, V]) SetCapacity(n int) int {
-	if n < 1 {
-		n = 1
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	prev := s.capacity
-	s.capacity = n
-	s.trimLocked()
-	s.gaugesLocked()
-	return prev
-}
-
-// Capacity returns the current bound on ready artifacts.
-func (s *Store[K, V]) Capacity() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.capacity
 }
 
 // Len returns the current entry count (ready + in flight).

@@ -74,24 +74,3 @@ func TestPutRespectsLRUAndCapacity(t *testing.T) {
 		t.Errorf("len = %d, want capacity 2", n)
 	}
 }
-
-// Shrinking to zero clamps to capacity 1 and the forced evictions are
-// accounted — the counter matches the entries actually dropped.
-func TestShrinkToZeroEvictionAccounting(t *testing.T) {
-	withObs(t)
-	s := New[int, int]("st_put_shrink", 4)
-	for i := 0; i < 4; i++ {
-		s.Put(i, i)
-	}
-	s.SetCapacity(0)
-	if s.Capacity() != 1 {
-		t.Fatalf("capacity = %d, want clamp to 1", s.Capacity())
-	}
-	if n := s.Len(); n != 1 {
-		t.Fatalf("len = %d after shrink to zero, want 1", n)
-	}
-	_, _, _, evictions := counters(t, "st_put_shrink")
-	if evictions != 3 {
-		t.Fatalf("evictions = %d, want 3 (4 entries -> 1 survivor)", evictions)
-	}
-}

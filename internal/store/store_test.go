@@ -266,30 +266,6 @@ func TestFailedBuildNotCached(t *testing.T) {
 	}
 }
 
-// Shrinking the capacity evicts ready entries immediately and clamps at 1.
-func TestSetCapacity(t *testing.T) {
-	withObs(t)
-	s := New[int, int]("st_cap", 4)
-	for i := 0; i < 4; i++ {
-		if _, err := s.GetOrBuild(i, func() (int, error) { return i, nil }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if prev := s.SetCapacity(2); prev != 4 {
-		t.Errorf("previous capacity = %d, want 4", prev)
-	}
-	if n := s.Len(); n != 2 {
-		t.Errorf("len = %d after shrink, want 2", n)
-	}
-	_, _, _, evictions := counters(t, "st_cap")
-	if evictions != 2 {
-		t.Errorf("evictions = %d after shrink, want 2", evictions)
-	}
-	if s.SetCapacity(0); s.Capacity() != 1 {
-		t.Errorf("capacity = %d, want clamp to 1", s.Capacity())
-	}
-}
-
 // Reset drops everything but in-flight waiters still get their artifact.
 func TestResetDuringFlight(t *testing.T) {
 	s := New[string, int]("st_reset", 4)

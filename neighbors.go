@@ -3,15 +3,14 @@ package nde
 import (
 	"time"
 
-	"nde/internal/importance"
 	"nde/internal/ml"
 )
 
-// Neighbor-search facade: selects the backend every neighbor-driven helper
-// uses (kNN-Shapley's shared index cache, NearestLetters) and bounds the
-// shared index cache. The exact backend is the default and the determinism
-// oracle; SearchIVF/SearchAuto trade exactness for sub-linear queries via
-// the internal IVF index (float32 kernels, k-means partitions).
+// Neighbor-search facade: the search types NearestLetters takes. The exact
+// backend is the default and the determinism oracle; SearchIVF/SearchAuto
+// trade exactness for sub-linear top-k queries via the internal IVF index
+// (float32 kernels, k-means partitions). kNN-Shapley always uses the exact
+// full ranking, so it takes no search configuration.
 
 // Re-exported search types, so callers can pick a mode without importing
 // internal packages.
@@ -21,9 +20,6 @@ type (
 	// NeighborSearchConfig tunes the neighbor-search backend (mode,
 	// partition count, probes, recall floor). The zero value is exact.
 	NeighborSearchConfig = ml.SearchConfig
-	// NeighborIndex answers neighbor-ordering queries for a fixed
-	// (train, queries) dataset pair.
-	NeighborIndex = ml.NeighborIndex
 )
 
 // The three search modes; see ml.SearchMode.
@@ -37,41 +33,9 @@ const (
 	SearchAuto = ml.SearchAuto
 )
 
-// ParseSearchMode maps a flag string ("exact", "ivf", "auto") to a
-// SearchMode; unknown strings report false.
-func ParseSearchMode(s string) (SearchMode, bool) { return ml.ParseSearchMode(s) }
-
-// SetNeighborSearch selects the search configuration used by every
-// subsequently built shared neighbor index (kNN-Shapley and the facade
-// helpers). Indexes built under other configs stay cached under their own
-// keys. Shapley scores are unaffected by the mode — the closed form always
-// consumes the exact full ranking — but prediction-style consumers of the
-// shared cache pick up the approximate path.
-func SetNeighborSearch(cfg NeighborSearchConfig) { importance.SetNeighborSearch(cfg) }
-
-// NeighborSearch returns the currently configured shared search config.
-func NeighborSearch() NeighborSearchConfig { return importance.NeighborSearch() }
-
-// SetNeighborIndexCacheCapacity bounds the shared neighbor-index LRU cache
-// (default 4) and returns the previous capacity. Shrinking evicts the
-// least recently used entries immediately. n < 1 is rejected with a
-// wrapped ErrDegenerateInput, leaving the capacity unchanged (the current
-// value is returned alongside the error).
-func SetNeighborIndexCacheCapacity(n int) (int, error) { return importance.SetIndexCacheCapacity(n) }
-
-// NeighborIndexCacheCapacity returns the current shared-cache capacity.
-func NeighborIndexCacheCapacity() int { return importance.IndexCacheCapacity() }
-
-// NewNeighborSearchIndex builds a NeighborIndex over featurized datasets
-// with an explicit search configuration — the facade route to the ANN
-// backend for callers that already hold Datasets.
-func NewNeighborSearchIndex(train, queries *Dataset, workers int, cfg NeighborSearchConfig) (*NeighborIndex, error) {
-	return ml.NewNeighborIndexSearch(train, queries, workers, cfg)
-}
-
 // NearestLetters featurizes the letters splits (fitting the encoder on
 // train) and returns, for each query letter, the indices of its k nearest
-// training letters under the configured search backend, nearest first.
+// training letters under the given search backend, nearest first.
 // With SearchIVF/SearchAuto the per-query answers are approximate but the
 // per-query exactness fallback still applies: a query whose probed
 // partitions hold fewer than k rows is answered exactly.

@@ -1,9 +1,11 @@
 package nde
 
 import (
+	"math"
 	"testing"
 
 	"nde/internal/importance"
+	"nde/internal/ml"
 )
 
 func TestNearestLettersModes(t *testing.T) {
@@ -52,52 +54,91 @@ func TestNearestLettersModes(t *testing.T) {
 	}
 }
 
-func TestFacadeNeighborSearchSettings(t *testing.T) {
-	defer SetNeighborSearch(NeighborSearchConfig{})
-	SetNeighborSearch(NeighborSearchConfig{Mode: SearchAuto, NProbe: 3})
-	got := NeighborSearch()
-	if got.Mode != SearchAuto || got.NProbe != 3 {
-		t.Fatalf("NeighborSearch() = %+v, want auto/nprobe=3", got)
-	}
-	if got.Fingerprint() != importance.NeighborSearch().Fingerprint() {
-		t.Error("facade and importance disagree on the active config")
-	}
-
-	prev, err := SetNeighborIndexCacheCapacity(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer SetNeighborIndexCacheCapacity(prev)
-	if got := NeighborIndexCacheCapacity(); got != 2 {
-		t.Fatalf("capacity = %d, want 2", got)
-	}
-
-	mode, ok := ParseSearchMode("ivf")
-	if !ok || mode != SearchIVF {
-		t.Errorf("ParseSearchMode(ivf) = (%v, %v)", mode, ok)
-	}
-}
-
-// kNN-Shapley scores must be invariant to the shared search mode: the
-// closed form consumes the exact full ranking in every mode.
+// kNN-Shapley scores must be invariant to the search mode: the closed form
+// consumes the exact full ranking, which an index answering top-k from the
+// approximate IVF backend still keeps. The facade's scores are recomputed
+// by the closed-form recurrence over the Order of explicitly configured
+// IVF/Auto indexes, after TopK has been served for every query, and must
+// match bit for bit; so must a second facade call after those searches.
 func TestKNNShapleyInvariantUnderSearchMode(t *testing.T) {
 	importance.ResetNeighborIndexCache()
 	defer importance.ResetNeighborIndexCache()
-	defer SetNeighborSearch(NeighborSearchConfig{})
 
+	const k = 5
 	s := LoadRecommendationLetters(260, 9)
-	base, err := KNNShapleyValues(s.Train, s.Valid, 5)
+	base, err := KNNShapleyValues(s.Train, s.Valid, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	SetNeighborSearch(NeighborSearchConfig{Mode: SearchAuto, ExactThreshold: 10, Seed: 2})
-	approx, err := KNNShapleyValues(s.Train, s.Valid, 5)
+	ct := LetterFeaturizer()
+	train, err := featurizeWith(ct, s.Train, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	valid, err := featurizeWith(ct, s.Valid, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []NeighborSearchConfig{
+		{Mode: SearchIVF, Seed: 2},
+		{Mode: SearchAuto, ExactThreshold: 10, Seed: 2},
+	} {
+		ix, err := ml.NewNeighborIndexSearch(train, valid, 0, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < valid.Len(); q++ {
+			ix.TopK(q, k)
+		}
+		if cfg.Mode == SearchIVF && ix.EffectiveMode() != SearchIVF {
+			t.Fatalf("effective mode %v, want ivf", ix.EffectiveMode())
+		}
+		got := closedFormKNNShapley(k, ix, train.Y, valid.Y)
+		for i := range base {
+			if math.Float64bits(base[i]) != math.Float64bits(got[i]) {
+				t.Fatalf("score %d differs under %v search mode: %v vs %v", i, cfg.Mode, base[i], got[i])
+			}
+		}
+	}
+	again, err := KNNShapleyValues(s.Train, s.Valid, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range base {
-		if base[i] != approx[i] {
-			t.Fatalf("score %d differs under auto search mode: %v vs %v", i, base[i], approx[i])
+		if math.Float64bits(base[i]) != math.Float64bits(again[i]) {
+			t.Fatalf("score %d changed after approximate searches: %v vs %v", i, base[i], again[i])
 		}
 	}
+}
+
+// closedFormKNNShapley is the kNN-Shapley recurrence over ix's full
+// neighbor ordering, summed per validation point in order and scaled by
+// 1/q: the summation order the importance package keeps for every entry
+// point.
+func closedFormKNNShapley(k int, ix *ml.NeighborIndex, trainY, validY []int) []float64 {
+	n := len(trainY)
+	scores := make([]float64, n)
+	s := make([]float64, n)
+	for v := range validY {
+		order := ix.Order(v)
+		match := func(pos int) float64 {
+			if trainY[order[pos]] == validY[v] {
+				return 1
+			}
+			return 0
+		}
+		s[n-1] = match(n-1) / float64(n)
+		for j := n - 2; j >= 0; j-- {
+			rank := j + 1
+			s[j] = s[j+1] + (match(j)-match(j+1))/float64(k)*math.Min(float64(k), float64(rank))/float64(rank)
+		}
+		for j := 0; j < n; j++ {
+			scores[order[j]] += s[j]
+		}
+	}
+	inv := 1 / float64(len(validY))
+	for i := range scores {
+		scores[i] *= inv
+	}
+	return scores
 }

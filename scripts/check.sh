@@ -27,6 +27,12 @@ fi
 echo "==> go build ./..."
 go build ./...
 
+# _e2ebench/ is its own Go module, so `go build ./...` never compiles it;
+# vet it here so a rename of an entry point it imports fails the gate
+# instead of the next benchmark run
+echo "==> go vet (_e2ebench)"
+(cd _e2ebench && go vet .)
+
 echo "==> go test -race ./..."
 go test -race ./...
 
