@@ -34,11 +34,13 @@ func (o *LabelOracle) Clean(d *ml.Dataset, rows []int) (*ml.Dataset, error) {
 	if len(o.Truth) != d.Len() {
 		return nil, fmt.Errorf("cleaning: oracle has %d truths for %d rows", len(o.Truth), d.Len())
 	}
-	out := d.Clone()
 	for _, r := range rows {
 		if r < 0 || r >= d.Len() {
 			return nil, fmt.Errorf("cleaning: row %d out of range [0,%d)", r, d.Len())
 		}
+	}
+	out := d.Clone()
+	for _, r := range rows {
 		out.Y[r] = o.Truth[r]
 	}
 	return out, nil
@@ -160,6 +162,14 @@ type Result struct {
 // most-suspicious not-yet-cleaned rows via the oracle, (3) retrain and
 // record test accuracy — until the budget of oracle calls is exhausted.
 // The curve starts with the accuracy before any cleaning.
+//
+// When newModel yields a *ml.KNN with K >= 1 and train is non-empty, the
+// train × test neighbor geometry is built once per call: label repairs
+// never move a feature, so each round's accuracy is a vote tally over the
+// cached top-k lists with the round's labels, bit-identical to refitting.
+// Every other case retrains through ml.EvaluateAccuracy each round: a
+// non-kNN factory, a round whose oracle changed a feature, or an index
+// that could not be built (e.g. non-finite features).
 func IterativeClean(
 	train, valid, test *ml.Dataset,
 	oracle Oracle,
@@ -169,7 +179,66 @@ func IterativeClean(
 ) (*Result, error) {
 	sp := obs.StartSpan("cleaning.run")
 	defer sp.End()
-	return iterativeClean(sp, train, valid, test, oracle, strat, newModel, batch, budget)
+	if err := checkBatch(batch, budget); err != nil {
+		return nil, err
+	}
+	ev, err := newEvaluator(train, test, newModel, 0)
+	if err != nil {
+		return nil, err
+	}
+	return iterativeClean(sp, ev, train, valid, oracle, strat, batch, budget)
+}
+
+// checkBatch validates a cleaning call's batch size and budget.
+func checkBatch(batch, budget int) error {
+	if batch <= 0 {
+		return fmt.Errorf("cleaning: batch must be positive, got %d", batch)
+	}
+	if budget < 0 {
+		return fmt.Errorf("cleaning: negative budget %d", budget)
+	}
+	return nil
+}
+
+// evaluator measures test accuracy of one cleaning call's rounds. For a
+// kNN factory it holds the neighbor index over (train, test), shared by
+// every strategy of the call and dropped with it: kept in importance's
+// shared index cache, its test × train distance matrix would stay live
+// after the call.
+type evaluator struct {
+	test     *ml.Dataset
+	newModel func() ml.Classifier
+	ix       *ml.NeighborIndex // nil: every round retrains via newModel
+	k        int
+	trainFP  uint64 // feature fingerprint the index's geometry belongs to
+	acc0     float64
+}
+
+// newEvaluator builds the evaluation geometry, warms it, and records the
+// accuracy before any cleaning, which is the same for every strategy.
+func newEvaluator(train, test *ml.Dataset, newModel func() ml.Classifier, workers int) (*evaluator, error) {
+	e := &evaluator{test: test, newModel: newModel}
+	if knn, ok := newModel().(*ml.KNN); ok && knn.K >= 1 && train.Len() > 0 {
+		// a build failure keeps the retrain path, which reports the same
+		// condition (or the same answer) per round
+		if ix, err := ml.NewNeighborIndex(train, test, workers); err == nil {
+			e.ix, e.k, e.trainFP = ix, knn.K, train.X.Fingerprint()
+		}
+	}
+	var err error
+	e.acc0, err = e.accuracy(train)
+	return e, err
+}
+
+// accuracy returns cur's test accuracy: a vote over the cached top-k lists
+// with cur's labels while cur has the indexed features, a refit otherwise.
+func (e *evaluator) accuracy(cur *ml.Dataset) (float64, error) {
+	if e.ix != nil && cur.X.Fingerprint() == e.trainFP {
+		if pred, err := e.ix.PredictBatchLabels(e.k, cur.Y); err == nil {
+			return ml.Accuracy(e.test.Y, pred), nil
+		}
+	}
+	return ml.EvaluateAccuracy(e.newModel(), cur, e.test)
 }
 
 // iterativeClean is IterativeClean reporting under an explicit parent span,
@@ -178,27 +247,18 @@ func IterativeClean(
 // current-span stack.
 func iterativeClean(
 	sp *obs.Span,
-	train, valid, test *ml.Dataset,
+	ev *evaluator,
+	train, valid *ml.Dataset,
 	oracle Oracle,
 	strat Strategy,
-	newModel func() ml.Classifier,
 	batch, budget int,
 ) (*Result, error) {
-	if batch <= 0 {
-		return nil, fmt.Errorf("cleaning: batch must be positive, got %d", batch)
-	}
-	if budget < 0 {
-		return nil, fmt.Errorf("cleaning: negative budget %d", budget)
-	}
 	sp.SetStr("strategy", strat.Name()).SetInt("budget", int64(budget)).SetInt("batch", int64(batch))
 	prog := obs.NewProgress("cleaning_budget", budget)
 	defer prog.Done()
 
 	cur := train.Clone()
-	acc, err := ml.EvaluateAccuracy(newModel(), cur, test)
-	if err != nil {
-		return nil, err
-	}
+	acc := ev.acc0
 	obs.SetGauge("cleaning_accuracy", acc)
 	res := &Result{Strategy: strat.Name(), Curve: []CurvePoint{{Cleaned: 0, Accuracy: acc}}}
 	cleaned := make(map[int]bool)
@@ -230,7 +290,7 @@ func iterativeClean(
 		for _, i := range next {
 			cleaned[i] = true
 		}
-		acc, err = ml.EvaluateAccuracy(newModel(), cur, test)
+		acc, err = ev.accuracy(cur)
 		if err != nil {
 			rsp.End()
 			return nil, err
@@ -258,6 +318,9 @@ func iterativeClean(
 // first error (if any) are reduced in strategy order. Strategies that rank
 // with kNN-Shapley share one neighbor index through the singleflight cache,
 // so the distance geometry is still computed only once across the fan-out.
+// The test-set evaluation geometry is built once per call too, before the
+// fan-out, with the same kNN detection and fallbacks as IterativeClean; the
+// accuracy before cleaning is computed once for all strategies.
 // The cleaning_strategies_inflight gauge tracks concurrency; each strategy
 // reports its rounds under its own cleaning.run span.
 func CompareStrategiesParallel(
@@ -271,14 +334,21 @@ func CompareStrategiesParallel(
 	csp.SetInt("strategies", int64(len(strategies))).
 		SetInt("workers", int64(par.Workers(workers, len(strategies))))
 	defer csp.End()
+	if err := checkBatch(batch, budget); err != nil {
+		return nil, err
+	}
+	ev, err := newEvaluator(train, test, newModel, workers)
+	if err != nil {
+		return nil, err
+	}
 
 	out := make([]*Result, len(strategies))
-	_, err := par.ForErr("cleaning.compare", workers, len(strategies), func(_, i int) error {
+	_, err = par.ForErr("cleaning.compare", workers, len(strategies), func(_, i int) error {
 		obs.AddGauge("cleaning_strategies_inflight", 1)
 		defer obs.AddGauge("cleaning_strategies_inflight", -1)
 		ssp := csp.StartChild("cleaning.run")
 		defer ssp.End()
-		r, err := iterativeClean(ssp, train, valid, test, oracle, strategies[i], newModel, batch, budget)
+		r, err := iterativeClean(ssp, ev, train, valid, oracle, strategies[i], batch, budget)
 		if err != nil {
 			return fmt.Errorf("cleaning: strategy %s: %w", strategies[i].Name(), err)
 		}

@@ -74,6 +74,32 @@ func TestLabelOracle(t *testing.T) {
 	}
 }
 
+// A bad row index is rejected before the dataset is copied, and the input
+// is left as it was.
+func TestLabelOracleRejectsBadRowBeforeCopy(t *testing.T) {
+	train, _, _, truth := cleaningData(3, 1000, 0, 0, 16, 0.2)
+	before := append([]int(nil), train.Y...)
+	oracle := &LabelOracle{Truth: truth}
+	rows := []int{0, 1, 2, train.Len()} // the bad row comes last
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	allocated := ms.TotalAlloc
+	_, err := oracle.Clean(train, rows)
+	runtime.ReadMemStats(&ms)
+	allocated = ms.TotalAlloc - allocated
+	if err == nil {
+		t.Fatal("expected error for out-of-range row")
+	}
+	for i, y := range train.Y {
+		if y != before[i] {
+			t.Fatalf("row %d label changed from %d to %d", i, before[i], y)
+		}
+	}
+	if size := uint64(8 * len(train.X.Data)); allocated >= size/2 {
+		t.Errorf("rejecting a bad row allocated %d bytes; the feature matrix is %d", allocated, size)
+	}
+}
+
 func TestStrategiesRankCorruptedFirst(t *testing.T) {
 	dirty, valid, _, _, corrupted := dirtySetup(t, 100)
 	k := len(corrupted)

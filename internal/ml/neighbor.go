@@ -206,21 +206,6 @@ func (ix *NeighborIndex) TopK(qi, k int) []int {
 	return ix.exactTopKInto(row, k, pairs, out)
 }
 
-// TopKChecked is TopK with strict validation instead of clamping: qi must
-// be a valid query index and k must satisfy 1 <= k <= Train.Len(). The
-// clamping rules of TopK itself (k > n clamps to n, k <= 0 returns nil)
-// and the error rules here are identical across the exact, IVF, and auto
-// search modes — the backend never changes argument semantics.
-func (ix *NeighborIndex) TopKChecked(qi, k int) ([]int, error) {
-	if nq := ix.Queries.Len(); qi < 0 || qi >= nq {
-		return nil, fmt.Errorf("ml: TopK query %d outside [0,%d): %w", qi, nq, nderr.ErrDegenerateInput)
-	}
-	if n := ix.Train.Len(); k < 1 || k > n {
-		return nil, nderr.BadK("ml: TopK", k, n)
-	}
-	return ix.TopK(qi, k), nil
-}
-
 // exactTopKInto is the exact top-k path writing into caller-provided
 // buffers: pairs must have length Train.Len(), out length k. It returns
 // out. Extracted so the batch prediction path can reuse per-worker
@@ -268,18 +253,6 @@ func (ix *NeighborIndex) exactTopKInto(row []float64, k int, pairs []distIdx, ou
 // insert costs O(k) shifts, so larger k goes through quickselect.
 const insertionTopK = 16
 
-// PredictRow returns the majority label among the k nearest training
-// points to query qi; vote ties break toward the smaller label.
-func (ix *NeighborIndex) PredictRow(qi, k int) int {
-	votes := make([]int, ix.Train.NumClasses())
-	return ix.predictRow(qi, k, votes)
-}
-
-// predictRow is PredictRow with a caller-provided (zeroed) vote buffer.
-func (ix *NeighborIndex) predictRow(qi, k int, votes []int) int {
-	return tallyVotes(votes, ix.Train.Y, ix.TopK(qi, k))
-}
-
 // tallyVotes counts the labels of the given training indices into votes
 // (reset to zero on return) and returns the majority label, vote ties
 // breaking toward the smaller label. The winner depends only on the SET of
@@ -307,8 +280,9 @@ type predictScratch struct {
 	ann   *ann.Scratch
 }
 
-// PredictBatch classifies every query with the k-nearest-neighbor vote.
-// The result is identical to calling PredictRow per query.
+// PredictBatch classifies every query with the k-nearest-neighbor vote:
+// the majority label among TopK(q, k), vote ties breaking toward the
+// smaller label.
 func (ix *NeighborIndex) PredictBatch(k int) []int {
 	out, _ := ix.PredictBatchLabels(k, ix.Train.Y) // error impossible: lengths match
 	return out

@@ -248,8 +248,9 @@ func TestPredictBatchIVFMatchesPredictRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	batch := ix.PredictBatch(5)
+	votes := make([]int, train.NumClasses())
 	for q := range batch {
-		if want := ix.PredictRow(q, 5); batch[q] != want {
+		if want := tallyVotes(votes, train.Y, ix.TopK(q, 5)); batch[q] != want {
 			t.Fatalf("query %d: batch %d vs row %d", q, batch[q], want)
 		}
 	}

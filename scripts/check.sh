@@ -33,6 +33,12 @@ go build ./...
 echo "==> go vet (_e2ebench)"
 (cd _e2ebench && go vet .)
 
+# the benchmark's own self-tests: generator determinism, request
+# round-trips, and a short traced run of every workload checked by its
+# correctness oracles (about 15s)
+echo "==> go test (_e2ebench)"
+(cd _e2ebench && go test .)
+
 echo "==> go test -race ./..."
 go test -race ./...
 
