@@ -69,10 +69,12 @@ func WhatIf(ft *Featurized, variants []RemovalVariant, valid *Dataset, opts What
 
 // ResetNeighborIndexCache drops every cached kNN neighbor index. The cache
 // holds the distance geometry of the last few (train, valid) pairs seen by
-// kNN-Shapley scoring (at most 4 indexes); long-running processes that churn
-// through many datasets can call this to release the memory eagerly. Safe
-// for concurrent use; in-flight computations keep their own reference and
-// finish unaffected.
+// kNN-Shapley scoring and what-if analysis (at most 4 indexes): the reset
+// also drops the bases WhatIf derives its removal variants from, so the
+// next WhatIf over the same data rebuilds its distances. Long-running
+// processes that churn through many datasets can call this to release the
+// memory eagerly. Safe for concurrent use; in-flight computations keep
+// their own reference and finish unaffected.
 func ResetNeighborIndexCache() {
 	defer recordOp("ResetNeighborIndexCache", time.Now(), 0, 0, nil)
 	importance.ResetNeighborIndexCache()

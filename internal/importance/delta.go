@@ -29,7 +29,7 @@ import (
 // removed neighbor change by a constant) reassociates float additions and
 // drifts from the oracle by ulps. The recurrence is O(n) with tiny
 // constants; the delta win is skipping the O(n·d) distance kernel and the
-// O(n log n) per-query argsort, which dominate the rebuild (DESIGN §11).
+// per-query radix argsort, which dominate the rebuild (DESIGN §11).
 //
 // Labels are read from the caller's train argument, never from a cached
 // index: cached geometry may be shared across label revisions.
@@ -55,7 +55,7 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 		SetInt("valid", int64(valid.Len())).SetInt("removed", int64(len(uniq)))
 	defer sp.End()
 
-	parent, err := sharedNeighborIndex(train, valid, workers)
+	parent, err := ml.SharedNeighborIndex(train, valid, workers)
 	if err != nil {
 		return nil, nil, nil, err
 	}
@@ -74,7 +74,7 @@ func KNNShapleyDelta(k int, train, valid *ml.Dataset, remove []int, workers int)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		registerDerivedIndex(child, valid.X.Fingerprint())
+		ml.PublishNeighborIndex(child)
 	}
 	// survivor labels from the CALLER's dataset (stale-label cache contract)
 	reducedY := make([]int, len(keep))

@@ -7,6 +7,7 @@ import (
 	"runtime"
 	"testing"
 
+	"nde/internal/ml"
 	"nde/internal/nderr"
 	"nde/internal/obs"
 )
@@ -69,8 +70,12 @@ func TestKNNShapleyDeltaNilRemovalEqualsFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keep) != train.Len() || ix.Derived() {
-		t.Fatalf("nil removal: keep=%d derived=%v, want full base index", len(keep), ix.Derived())
+	base, err := ml.SharedNeighborIndex(train, valid, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(keep) != train.Len() || ix != base {
+		t.Fatalf("nil removal: keep=%d, index is the cached base = %v; want the full base index", len(keep), ix == base)
 	}
 	full, err := KNNShapley(3, train, valid)
 	if err != nil {

@@ -2,14 +2,26 @@ package importance
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
 
 	"nde/internal/ml"
 	"nde/internal/obs"
-	"nde/internal/store"
 )
+
+// sharedIndexCapacity is the shared neighbor-index cache's constant LRU
+// bound (ml.SharedNeighborIndex). The tests observe the cache only through
+// its public behaviour and its importance_neighbor_index_* metrics.
+const sharedIndexCapacity = 4
+
+// cachedIndexes reads the cache's entry gauge (ready + in flight). The
+// gauge is refreshed under the store lock on every insert, eviction and
+// reset, so it tracks the store exactly while obs is enabled.
+func cachedIndexes() int {
+	return int(obs.Default().Gauge("importance_neighbor_index_entries").Value())
+}
 
 // Every kNN-Shapley entry point — serial, pooled at any worker count, and
 // the delta path with nothing removed — runs the same loop and must agree
@@ -122,16 +134,20 @@ func TestSharedNeighborIndexLabelAndFeatureMutations(t *testing.T) {
 // The cache is bounded: once more geometries than the capacity have been
 // built, the store holds exactly the capacity.
 func TestSharedNeighborIndexCacheEviction(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	defer obs.Reset()
+	obs.Reset()
 	ResetNeighborIndexCache()
 	defer ResetNeighborIndexCache()
-	for i := 0; i < indexCacheCapacity+2; i++ {
+	for i := 0; i < sharedIndexCapacity+2; i++ {
 		train := blobs(20, 1.5, int64(910+i))
 		valid := blobs(10, 1.5, int64(930+i))
 		if _, err := KNNShapley(3, train, valid); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if got, want := indexStore.Len(), indexCacheCapacity; got != want {
+	if got, want := cachedIndexes(), sharedIndexCapacity; got != want {
 		t.Errorf("cache holds %d entries, want %d", got, want)
 	}
 }
@@ -158,7 +174,7 @@ func TestSharedNeighborIndexSingleflight(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			ix, err := sharedNeighborIndex(train, valid, 1)
+			ix, err := ml.SharedNeighborIndex(train, valid, 1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -207,7 +223,7 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 	}
 	const goroutines = 6
 	const iters = 8
-	bound := indexCacheCapacity + goroutines
+	bound := sharedIndexCapacity + goroutines
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -215,12 +231,12 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 			defer wg.Done()
 			for it := 0; it < iters; it++ {
 				d := (g*iters + it) % datasets
-				if _, err := sharedNeighborIndex(trains[d], valids[d], 1); err != nil {
+				if _, err := ml.SharedNeighborIndex(trains[d], valids[d], 1); err != nil {
 					t.Error(err)
 					return
 				}
-				if nc := indexStore.Len(); nc > bound {
-					t.Errorf("cache grew past bound: %d entries, max %d + %d in flight", nc, indexCacheCapacity, goroutines)
+				if nc := cachedIndexes(); nc > bound {
+					t.Errorf("cache grew past bound: %d entries, max %d + %d in flight", nc, sharedIndexCapacity, goroutines)
 					return
 				}
 			}
@@ -228,7 +244,7 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 	}
 	wg.Wait()
 
-	if nc, want := indexStore.Len(), indexCacheCapacity; nc != want {
+	if nc, want := cachedIndexes(), sharedIndexCapacity; nc != want {
 		t.Errorf("final cache size %d, want %d", nc, want)
 	}
 	misses := obs.Default().Counter("importance_neighbor_index_misses_total").Value()
@@ -236,13 +252,13 @@ func TestSharedNeighborIndexChurnBounded(t *testing.T) {
 	if misses < datasets {
 		t.Errorf("misses = %d, want >= %d distinct geometries", misses, datasets)
 	}
-	if evictions != misses-int64(indexCacheCapacity) {
-		t.Errorf("evictions = %d, want misses-cap = %d", evictions, misses-int64(indexCacheCapacity))
+	if evictions != misses-int64(sharedIndexCapacity) {
+		t.Errorf("evictions = %d, want misses-cap = %d", evictions, misses-int64(sharedIndexCapacity))
 	}
 }
 
 // REGRESSION for the in-flight eviction bug: under the old FIFO cache,
-// inserting a second geometry at capacity 1 evicted the *in-flight* head
+// inserting geometries past the capacity evicted the *in-flight* head
 // entry, detaching the key from its running build — so any same-key caller
 // arriving afterwards silently started a duplicate build of the same
 // geometry. The store must never evict an in-flight entry: concurrent
@@ -252,18 +268,42 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 	obs.Enable()
 	defer obs.Disable()
 	defer obs.Reset()
-	obs.Reset()
-	// churn needs a capacity-1 store: swap one in for this test only
-	prev := indexStore
-	indexStore = store.New[indexKey, *ml.NeighborIndex]("importance_neighbor_index", 1)
-	defer func() { indexStore = prev }()
+	defer ResetNeighborIndexCache()
 
-	// A is deliberately large so its index build is still in flight while
-	// the tiny churn geometry B is built and evicted around it.
-	trainA := blobs(1500, 1.5, 2001)
-	validA := blobs(700, 1.5, 2002)
-	trainB := blobs(10, 1.5, 2003)
-	validB := blobs(5, 1.5, 2004)
+	// A is large so its callers are still fingerprinting or building
+	// while the tiny churn geometries pass through the cache.
+	r := rand.New(rand.NewSource(2001))
+	trainA := randomDataset(r, 20000, 16, 2)
+	validA := randomDataset(r, 8, 16, 2)
+	for round := 0; round < 10; round++ {
+		if inFlightChurnRound(t, trainA, validA, round) {
+			return
+		}
+	}
+	t.Fatal("A's build had already finished when the churn ended, in every round")
+}
+
+// inFlightChurnRound runs a wave of same-key callers for geometry A while
+// one geometry more than the capacity churns the cache — under the old
+// FIFO, enough to evict in-flight A. Driven only through the public API,
+// the schedule decides whether A is absent or in flight during the churn
+// (internal/store's TestInFlightEntrySurvivesChurn pins the in-flight case
+// with a blocked build). A ready A is legitimately evictable, so a round
+// whose churn ended after A's build finished proves nothing: it reports
+// false without asserting, and the caller runs another round.
+func inFlightChurnRound(t *testing.T, trainA, validA *ml.Dataset, round int) bool {
+	t.Helper()
+	obs.Reset()
+	ResetNeighborIndexCache()
+	misses := func() int64 { return obs.Default().Counter("importance_neighbor_index_misses_total").Value() }
+	inflight := func() float64 { return obs.Default().Gauge("importance_neighbor_index_inflight").Value() }
+	const churn = sharedIndexCapacity + 1
+	churnTrain := make([]*ml.Dataset, churn)
+	churnValid := make([]*ml.Dataset, churn)
+	for i := range churnTrain {
+		seed := int64(2003 + 10*round + i)
+		churnTrain[i], churnValid[i] = blobs(10, 1.5, seed), blobs(5, 1.5, seed+1000)
+	}
 
 	const wave = 6
 	indexes := make([]*ml.NeighborIndex, wave)
@@ -274,7 +314,7 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 		go func(c int) {
 			defer wg.Done()
 			<-start
-			ix, err := sharedNeighborIndex(trainA, validA, 1)
+			ix, err := ml.SharedNeighborIndex(trainA, validA, 1)
 			if err != nil {
 				t.Error(err)
 				return
@@ -283,22 +323,29 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 		}(c)
 	}
 	close(start)
-	// churn while A's build is (very likely) in flight: build B at
-	// capacity 1, which under the old FIFO evicted in-flight A
-	if _, err := sharedNeighborIndex(trainB, validB, 1); err != nil {
-		t.Fatal(err)
+	for i := 0; i < churn; i++ {
+		if _, err := ml.SharedNeighborIndex(churnTrain[i], churnValid[i], 1); err != nil {
+			t.Fatal(err)
+		}
 	}
+	// conclusive: A has not entered the cache yet, or its one build is
+	// still in flight (the churn's builds are done; only A can be)
+	m := misses()
+	conclusive := m == churn || (m == churn+1 && inflight() == 1)
 	// stragglers arrive strictly after the churn: they must join A's
 	// flight or hit its cached entry, never rebuild
 	stragglers := make([]*ml.NeighborIndex, 2)
 	for c := range stragglers {
-		ix, err := sharedNeighborIndex(trainA, validA, 1)
+		ix, err := ml.SharedNeighborIndex(trainA, validA, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stragglers[c] = ix
 	}
 	wg.Wait()
+	if !conclusive {
+		return false
+	}
 	for c := 1; c < wave; c++ {
 		if indexes[c] != indexes[0] {
 			t.Fatalf("caller %d got a different index instance", c)
@@ -309,13 +356,13 @@ func TestSharedNeighborIndexInFlightSurvivesChurn(t *testing.T) {
 			t.Fatalf("straggler %d got a different index instance: geometry A was rebuilt", c)
 		}
 	}
-	misses := obs.Default().Counter("importance_neighbor_index_misses_total").Value()
-	if misses != 2 { // one for A, one for B — a third means A rebuilt
-		t.Errorf("misses = %d, want 2 (A built once, B built once)", misses)
+	if got := misses(); got != 1+churn { // one for A, one per churn geometry — more means A rebuilt
+		t.Errorf("misses = %d, want %d (A built once, each churn geometry once)", got, 1+churn)
 	}
+	return true
 }
 
-// The capacity is the constant indexCacheCapacity: every build past it
+// The capacity is the constant sharedIndexCapacity: every build past it
 // evicts exactly one entry, accounted in the obs eviction counter, and the
 // least recently used geometry is the one that goes.
 func TestIndexCacheCapacityConfigurable(t *testing.T) {
@@ -326,13 +373,13 @@ func TestIndexCacheCapacityConfigurable(t *testing.T) {
 	ResetNeighborIndexCache()
 	defer ResetNeighborIndexCache()
 
-	const builds = indexCacheCapacity + 3
+	const builds = sharedIndexCapacity + 3
 	geometry := func(i int) (*ml.Dataset, *ml.Dataset) {
 		return blobs(15, 1.5, int64(1400+i)), blobs(8, 1.5, int64(1500+i))
 	}
 	for i := 0; i < builds; i++ {
 		train, valid := geometry(i)
-		if _, err := sharedNeighborIndex(train, valid, 1); err != nil {
+		if _, err := ml.SharedNeighborIndex(train, valid, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -340,17 +387,17 @@ func TestIndexCacheCapacityConfigurable(t *testing.T) {
 	if got := counter("importance_neighbor_index_misses_total"); got != builds {
 		t.Errorf("misses = %d, want one per distinct geometry = %d", got, builds)
 	}
-	if got, want := counter("importance_neighbor_index_evictions_total"), int64(builds-indexCacheCapacity); got != want {
+	if got, want := counter("importance_neighbor_index_evictions_total"), int64(builds-sharedIndexCapacity); got != want {
 		t.Errorf("evictions = %d, want builds-cap = %d", got, want)
 	}
-	if nc := indexStore.Len(); nc != indexCacheCapacity {
-		t.Errorf("cache holds %d entries, want the capacity %d", nc, indexCacheCapacity)
+	if nc := cachedIndexes(); nc != sharedIndexCapacity {
+		t.Errorf("cache holds %d entries, want the capacity %d", nc, sharedIndexCapacity)
 	}
 
-	// the last indexCacheCapacity geometries are still cached: no new miss
-	for i := builds - indexCacheCapacity; i < builds; i++ {
+	// the last sharedIndexCapacity geometries are still cached: no new miss
+	for i := builds - sharedIndexCapacity; i < builds; i++ {
 		train, valid := geometry(i)
-		if _, err := sharedNeighborIndex(train, valid, 1); err != nil {
+		if _, err := ml.SharedNeighborIndex(train, valid, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -359,16 +406,16 @@ func TestIndexCacheCapacityConfigurable(t *testing.T) {
 	}
 	// the oldest was evicted: asking again rebuilds it and evicts one more
 	train, valid := geometry(0)
-	if _, err := sharedNeighborIndex(train, valid, 1); err != nil {
+	if _, err := ml.SharedNeighborIndex(train, valid, 1); err != nil {
 		t.Fatal(err)
 	}
 	if got := counter("importance_neighbor_index_misses_total"); got != builds+1 {
 		t.Errorf("misses after the evicted geometry = %d, want %d", got, builds+1)
 	}
-	if got, want := counter("importance_neighbor_index_evictions_total"), int64(builds-indexCacheCapacity+1); got != want {
+	if got, want := counter("importance_neighbor_index_evictions_total"), int64(builds-sharedIndexCapacity+1); got != want {
 		t.Errorf("evictions = %d, want %d", got, want)
 	}
-	if nc := indexStore.Len(); nc != indexCacheCapacity {
-		t.Errorf("cache holds %d entries, want the capacity %d", nc, indexCacheCapacity)
+	if nc := cachedIndexes(); nc != sharedIndexCapacity {
+		t.Errorf("cache holds %d entries, want the capacity %d", nc, sharedIndexCapacity)
 	}
 }

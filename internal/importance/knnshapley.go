@@ -11,7 +11,8 @@ import (
 )
 
 // KNNShapley computes exact Shapley values for the k-nearest-neighbor
-// utility in O(n log n) per validation point (Jia et al., VLDB 2019).
+// utility from one neighbor ordering and an O(n) recurrence per validation
+// point (Jia et al., VLDB 2019).
 //
 // For one validation point (x, y) the utility of a training subset S is
 // U(S) = (1/K) Σ_{j=1..min(K,|S|)} 1[label of j-th nearest point in S = y],
@@ -25,10 +26,10 @@ import (
 // The total score of a training point is its sum over validation points,
 // normalized by the number of validation points.
 //
-// Distances and neighbor orders come from the shared NeighborIndex cache:
-// the valid×train squared-distance matrix is computed once through the
-// batched linalg kernel and reused across calls. KNNShapley is the serial
-// path (workers = 1) of KNNShapleyParallel.
+// Distances and neighbor orders come from the shared neighbor-index cache
+// (ml.SharedNeighborIndex): the valid×train squared-distance matrix is
+// computed once through the batched linalg kernel and reused across calls.
+// KNNShapley is the serial path (workers = 1) of KNNShapleyParallel.
 func KNNShapley(k int, train, valid *ml.Dataset) (Scores, error) {
 	return knnShapley(k, train, valid, 1)
 }
@@ -49,12 +50,18 @@ func knnShapley(k int, train, valid *ml.Dataset, workers int) (Scores, error) {
 	sp.SetInt("k", int64(k)).SetInt("train", int64(train.Len())).
 		SetInt("valid", int64(valid.Len())).SetInt("workers", int64(par.Workers(workers, valid.Len())))
 	defer sp.End()
-	ix, err := sharedNeighborIndex(train, valid, workers)
+	ix, err := ml.SharedNeighborIndex(train, valid, workers)
 	if err != nil {
 		return nil, err
 	}
 	return knnShapleyOverIndex(k, ix, train.Y, valid, workers)
 }
+
+// ResetNeighborIndexCache drops every index in the process-wide
+// neighbor-index cache (ml.ResetNeighborIndexCache): the geometries
+// kNN-Shapley scores from and the bases what-if analysis derives its
+// variants from.
+func ResetNeighborIndexCache() { ml.ResetNeighborIndexCache() }
 
 // knnShapleyOverIndex is the one kNN-Shapley loop: the closed form over
 // the neighbor orders of ix, with labels read from trainY (never from the

@@ -3,7 +3,6 @@ package ml
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"nde/internal/linalg"
 )
@@ -14,10 +13,11 @@ import (
 //
 // Internally all ranking happens on squared distances (sqrt is monotone, so
 // the order is identical and the per-pair sqrt is skipped), neighbor order
-// comes from an explicit (distance, index) comparator rather than a stable
-// sort, and votes are tallied in a label-indexed slice. Batch workloads
-// should go through PredictBatch or a NeighborIndex, which compute all
-// query×train distances through the batched linalg kernel.
+// is the (distance, index) total order — quickselect for the k nearest,
+// the package's radix argsort for the full ranking — and votes are tallied
+// in a label-indexed slice. Batch workloads should go through PredictBatch
+// or a NeighborIndex, which compute all query×train distances through the
+// batched linalg kernel.
 type KNN struct {
 	K     int
 	train *Dataset
@@ -50,10 +50,7 @@ func (m *KNN) Neighbors(x []float64) []int {
 		d2[i] = SquaredDistance(m.train.Row(i), x)
 	}
 	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Sort(&distOrder{d2: d2, idx: idx})
+	new(argsorter).argsort(d2, idx)
 	return idx
 }
 

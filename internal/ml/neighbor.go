@@ -2,6 +2,7 @@ package ml
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -80,10 +81,10 @@ type topkCache struct {
 
 // NewNeighborIndex builds an index over the given train and query sets.
 // Distances are not computed until the first use, but both feature
-// matrices are validated here: a single NaN feature would make the
-// (distance, index) comparator a non-strict weak order, so quickselect and
-// argsort would return silently wrong neighbors. Rejecting NaN/Inf at
-// build time (wrapping nderr.ErrNonFinite) turns that silent corruption
+// matrices are validated here (checkKernelRows): a single NaN distance
+// would make the (distance, index) comparator a non-strict weak order, so
+// quickselect and argsort would return silently wrong neighbors. Rejecting
+// at build time (wrapping nderr.ErrNonFinite) turns that silent corruption
 // into a diagnosable error.
 func NewNeighborIndex(train, queries *Dataset, workers int) (*NeighborIndex, error) {
 	return NewNeighborIndexSearch(train, queries, workers, SearchConfig{})
@@ -103,13 +104,45 @@ func NewNeighborIndexSearch(train, queries *Dataset, workers int, search SearchC
 	if train.Dim() != queries.Dim() {
 		return nil, nderr.Mismatch("ml: NeighborIndex dims", train.Dim(), queries.Dim())
 	}
-	if err := train.X.CheckFinite("NeighborIndex train features"); err != nil {
-		return nil, fmt.Errorf("ml: %w", err)
+	if err := checkKernelRows(train.X, "NeighborIndex train features"); err != nil {
+		return nil, err
 	}
-	if err := queries.X.CheckFinite("NeighborIndex query features"); err != nil {
-		return nil, fmt.Errorf("ml: %w", err)
+	if err := checkKernelRows(queries.X, "NeighborIndex query features"); err != nil {
+		return nil, err
 	}
 	return &NeighborIndex{Train: train, Queries: queries, Workers: workers, Search: search}, nil
+}
+
+// maxRowNorm2 bounds the squared norm of a feature row the distance kernel
+// accepts. The Gram kernel computes ‖q‖² + ‖x‖² − 2q·x; with both norms at
+// most MaxFloat64/4 the sum and 2q·x (Cauchy–Schwarz) stay finite, so a
+// distance can round up to +Inf but never form Inf − Inf = NaN. A finite
+// ‖x‖² alone is not enough: a query and a train row both {1.2e154}
+// (‖x‖² ≈ 1.44e308) would get d² = Inf − Inf.
+const maxRowNorm2 = math.MaxFloat64 / 4
+
+// checkKernelRows rejects a feature matrix the distance kernel could turn
+// into a NaN squared distance: a non-finite element, or a finite row whose
+// squared norm exceeds maxRowNorm2 (train rows {1e160} and {2e160} against
+// query {1e160} would otherwise give d² = NaN). The error wraps
+// nderr.ErrNonFinite. This pins the argsort's precondition that every d²
+// lies in [+0, +Inf].
+func checkKernelRows(x *linalg.Matrix, what string) error {
+	for r := 0; r < x.Rows; r++ {
+		s := 0.0
+		for _, v := range x.Row(r) {
+			s += v * v
+		}
+		if s <= maxRowNorm2 {
+			continue
+		}
+		// NaN or Inf elements make s non-finite: report the element itself
+		if err := x.CheckFinite(what); err != nil {
+			return fmt.Errorf("ml: %w", err)
+		}
+		return fmt.Errorf("ml: %s row %d: squared norm %g overflows the distance kernel: %w", what, r, s, nderr.ErrNonFinite)
+	}
+	return nil
 }
 
 // D2 returns the query×train squared-distance matrix, computing it on
@@ -128,9 +161,10 @@ func (ix *NeighborIndex) D2() *linalg.Matrix {
 }
 
 // ensureOrders materializes the full per-query argsort table once. A root
-// sorts its distance rows; a derived index merges the root's cached order
-// with the extra-slot order in O(n) per query — no sorting — which is
-// where the kNN-Shapley delta path gets its speedup.
+// radix-sorts its distance rows (argsort.go), one scratch set per worker;
+// a derived index merges the root's cached order with the extra-slot order
+// in O(n) per query — no sorting — which is where the kNN-Shapley delta
+// path gets its speedup.
 func (ix *NeighborIndex) ensureOrders() {
 	ix.ordersOnce.Do(func() {
 		n := ix.Train.Len()
@@ -143,12 +177,9 @@ func (ix *NeighborIndex) ensureOrders() {
 			})
 		} else {
 			d2 := ix.D2()
-			par.For("ml.neighbor_argsort", ix.Workers, nq, func(_, q int) {
-				row := orders[q*n : (q+1)*n]
-				for i := range row {
-					row[i] = i
-				}
-				sort.Sort(&distOrder{d2: d2.Row(q), idx: row})
+			sorters := make([]argsorter, par.Workers(ix.Workers, nq))
+			par.For("ml.neighbor_argsort", ix.Workers, nq, func(w, q int) {
+				sorters[w].argsort(d2.Row(q), orders[q*n:(q+1)*n])
 			})
 		}
 		ix.orders = orders
@@ -391,23 +422,6 @@ func (ix *NeighborIndex) ensureTopK(kk int) ([]int, []float64) {
 	ix.topk.k, ix.topk.ids, ix.topk.kth = kk, ids, kth
 	return ids, kth
 }
-
-// distOrder argsorts idx by (d2[idx], idx) — the deterministic neighbor
-// total order used everywhere in the package.
-type distOrder struct {
-	d2  []float64
-	idx []int
-}
-
-func (s *distOrder) Len() int { return len(s.idx) }
-func (s *distOrder) Less(a, b int) bool {
-	da, db := s.d2[s.idx[a]], s.d2[s.idx[b]]
-	if da != db {
-		return da < db
-	}
-	return s.idx[a] < s.idx[b]
-}
-func (s *distOrder) Swap(a, b int) { s.idx[a], s.idx[b] = s.idx[b], s.idx[a] }
 
 // distIdx is a (squared distance, training index) pair.
 type distIdx struct {

@@ -161,8 +161,8 @@ func (ix *NeighborIndex) AppendRows(x *linalg.Matrix, y []int) (*NeighborIndex, 
 			return nil, fmt.Errorf("ml: negative label %d at appended row %d: %w", v, i, nderr.ErrDegenerateInput)
 		}
 	}
-	if err := x.CheckFinite("AppendRows features"); err != nil {
-		return nil, fmt.Errorf("ml: %w", err)
+	if err := checkKernelRows(x, "AppendRows features"); err != nil {
+		return nil, err
 	}
 
 	m := x.Rows
@@ -172,12 +172,9 @@ func (ix *NeighborIndex) AppendRows(x *linalg.Matrix, y []int) (*NeighborIndex, 
 
 	blockD2 := linalg.PairwiseSquaredDistances(ix.Queries.X, x, ix.Workers)
 	blockOrder := make([]int, nq*m)
-	par.For("ml.neighbor_append_argsort", ix.Workers, nq, func(_, q int) {
-		row := blockOrder[q*m : (q+1)*m]
-		for i := range row {
-			row[i] = i
-		}
-		sort.Sort(&distOrder{d2: blockD2.Row(q), idx: row})
+	sorters := make([]argsorter, par.Workers(ix.Workers, nq))
+	par.For("ml.neighbor_append_argsort", ix.Workers, nq, func(w, q int) {
+		sorters[w].argsort(blockD2.Row(q), blockOrder[q*m:(q+1)*m])
 	})
 
 	newLo := nBase + g.nExtra
@@ -468,7 +465,3 @@ func dedupSorted(a []int) []int {
 	}
 	return out
 }
-
-// Derived reports whether the index is a delta child still carrying its
-// root's geometry (false after compaction folds it into a new root).
-func (ix *NeighborIndex) Derived() bool { return ix.delta != nil }

@@ -149,7 +149,7 @@ func TestDeltaChainPropertyBitIdentical(t *testing.T) {
 					}
 					cur = next
 				}
-				if !cur.Derived() {
+				if cur.delta == nil { // compaction folded it into a new root
 					sawCompact = true
 				}
 				assertIndexBitIdentical(t, cur, rebuildIndex(t, cur, workers), 3)

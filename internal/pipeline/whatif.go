@@ -68,13 +68,17 @@ type WhatIfConfig struct {
 // concurrent goroutines; returning a fresh classifier per call, as every
 // existing factory does, is sufficient.
 //
-// When
-// the model factory produces a *ml.KNN (the default debugging model), each
-// removal variant is answered by DERIVING an index from one shared base
-// over the full featurized data (ml.NeighborIndex.RemoveRows): the
-// query×train distances are computed once, and every variant costs an
-// O(queries·k) top-k repair instead of a fresh distance matrix + retrain.
-// Non-kNN factories use the generic retrain path unchanged.
+// When the model factory produces a *ml.KNN (the default debugging model),
+// each removal variant is answered by DERIVING an index from one base over
+// the full featurized data (ml.NeighborIndex.RemoveRows): every variant
+// costs an O(queries·k) top-k repair instead of a fresh distance matrix +
+// retrain. The base is the process-wide shared index for (ft.Data, valid)
+// (ml.SharedNeighborIndex) — the same geometry kNN-Shapley scores from —
+// so a what-if after importance, or after an earlier what-if, computes no
+// distances at all. Because a cached base may carry another dataset's
+// labels, every vote uses ft.Data.Y (subset by the variant's survivors),
+// never the index's own; per-variant children are not cached. Non-kNN
+// factories, and ForceRebuild, use their own paths unchanged.
 func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel func() ml.Classifier, valid *ml.Dataset, cfg WhatIfConfig) ([]WhatIfResult, error) {
 	if newModel == nil {
 		return nil, fmt.Errorf("pipeline: WhatIfRemovalsConfig needs a model factory")
@@ -91,13 +95,15 @@ func WhatIfRemovalsConfig(ft *Featurized, variants []RemovalVariant, newModel fu
 	}
 	var base *ml.NeighborIndex
 	if knnK > 0 && !cfg.ForceRebuild && ft.Data.Len() > 0 {
-		// One shared base index over the unmodified featurized data; each
+		// The shared base index over the unmodified featurized data; each
 		// variant derives from it. A build failure (e.g. non-finite features
 		// a caller slipped past featurization) falls back to the generic
 		// retrain path, which reports the same condition per variant.
-		if ix, err := ml.NewNeighborIndex(ft.Data, valid, workers); err == nil {
+		if ix, err := ml.SharedNeighborIndex(ft.Data, valid, workers); err == nil {
 			base = ix
-			base.PredictBatch(knnK) // warm distances + top-k before the fan-out
+			// warm distances + top-k before the fan-out with the caller's
+			// labels; a label error resurfaces from every variant's vote
+			_, _ = base.PredictBatchLabels(knnK, ft.Data.Y)
 		}
 	}
 
@@ -159,9 +165,10 @@ func evalRemovalVariant(ft *Featurized, v RemovalVariant, newModel func() ml.Cla
 
 // evalRemovalVariantKNN answers one variant for a kNN model from neighbor
 // indexes. With a base index it derives the variant's index via RemoveRows
-// — no fresh distance kernel; with base == nil (the ForceRebuild oracle) it
-// builds the variant's index from scratch. Both arms classify through the
-// same exact top-k machinery, so their metrics are bit-for-bit identical.
+// — no fresh distance kernel — and votes with ft.Data.Y; with base == nil
+// (the ForceRebuild oracle) it builds the variant's index from scratch.
+// Both arms classify through the same exact top-k machinery, so their
+// metrics are bit-for-bit identical.
 func evalRemovalVariantKNN(ft *Featurized, v RemovalVariant, base *ml.NeighborIndex, k int, valid *ml.Dataset) (WhatIfResult, error) {
 	removed := make(map[prov.TupleID]bool, len(v.Remove))
 	for _, id := range v.Remove {
@@ -195,7 +202,12 @@ func evalRemovalVariantKNN(ft *Featurized, v RemovalVariant, base *ml.NeighborIn
 		var child *ml.NeighborIndex
 		child, err = base.RemoveRows(rm)
 		if err == nil {
-			preds, err = child.PredictBatchLabels(k, child.Train.Y)
+			// survivor labels from the caller's data, not the base's
+			y := make([]int, len(keep))
+			for o, i := range keep {
+				y[o] = ft.Data.Y[i]
+			}
+			preds, err = child.PredictBatchLabels(k, y)
 		}
 	default: // rebuild oracle
 		var ix *ml.NeighborIndex

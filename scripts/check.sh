@@ -42,6 +42,11 @@ echo "==> go test (_e2ebench)"
 echo "==> go test -race ./..."
 go test -race ./...
 
+# every benchmark once, no tests: catches a benchmark that no longer
+# builds or runs (about 10s on 2 vCPU)
+echo "==> go test -bench . -benchtime 1x ./..."
+go test -run '^$' -bench . -benchtime 1x ./...
+
 # short deterministic fuzz pass over the CSV reader: replays the checked-in
 # corpus, then a couple of seconds of fresh mutation
 echo "==> go test -fuzz FuzzReadCSV (2s)"

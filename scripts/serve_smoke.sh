@@ -212,6 +212,24 @@ post "http://$addr/v1/whatif" "$tmp/wi.json" | grep -q '"drop-ten"' || {
     exit 1
 }
 
+# what-if derives its variants from the neighbor index importance already
+# built for the same (train, valid) geometry: still exactly one build, and
+# the lookup shows up as a cache hit
+echo "==> metrics: what-if reused the shared neighbor index"
+fetch "http://$addr/metrics" >"$tmp/metricsW"
+misses="$(awk '$1 == "importance_neighbor_index_misses_total" {print $2}' "$tmp/metricsW")"
+if [ "${misses:-0}" != "1" ]; then
+    echo "FAIL: importance_neighbor_index_misses_total = '$misses' after what-if, want 1 (what-if rebuilt the geometry)" >&2
+    exit 1
+fi
+hitsA="$(awk '$1 == "importance_neighbor_index_hits_total" {print $2}' "$tmp/metricsA")"
+hitsW="$(awk '$1 == "importance_neighbor_index_hits_total" {print $2}' "$tmp/metricsW")"
+if [ "${hitsW:-0}" -le "${hitsA:-0}" ] 2>/dev/null; then
+    echo "FAIL: importance_neighbor_index_hits_total $hitsA -> $hitsW, want a hit from what-if (it did not use the shared index)" >&2
+    exit 1
+fi
+echo "    index misses=$misses hits $hitsA -> $hitsW"
+
 echo "==> SIGTERM drain (phase A)"
 drain_daemon "$tmp/stderrA"
 head -n1 "$tmp/runA.jsonl" | grep -q '"t":"header"' || {
