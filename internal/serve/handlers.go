@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -26,11 +27,6 @@ import (
 // with — the facade default (5-NN), fresh per call so concurrent
 // retrains never share state.
 func newModel() ml.Classifier { return ml.NewKNN(5) }
-
-// errTrailingData rejects request bodies with bytes after the JSON
-// value. A package-level sentinel (not an ad-hoc fmt.Errorf, per the
-// nde-lint errwrap contract) so decode stays classifiable.
-var errTrailingData = errors.New("trailing data after JSON body")
 
 // writeJSON writes v as the JSON response body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -68,31 +64,39 @@ func post(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// decode reads the capped JSON request body into v. Unknown fields and
-// trailing garbage are rejected so typos fail loudly instead of being
-// silently ignored.
+// decode reads the capped JSON request body into v (see decodeJSON).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	err := dec.Decode(v)
-	if err == nil {
-		var trailing any
-		if dec.Decode(&trailing) != io.EOF {
-			err = errTrailingData
-		}
-	}
-	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes), "body_too_large")
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, "malformed request: "+err.Error(), "bad_request")
+	if err := decodeJSON(r.Body, v); err != nil {
+		s.writeDecodeErr(w, err)
 		return false
 	}
 	return true
+}
+
+// readBody reads the whole capped request body, allocated up front from
+// Content-Length when the client sent one within the cap.
+func (s *Server) readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	size := int64(0)
+	if r.ContentLength > 0 && r.ContentLength <= s.cfg.MaxBodyBytes {
+		size = r.ContentLength
+	}
+	// MinRead of spare room lets the final read see EOF without a regrow
+	buf := bytes.NewBuffer(make([]byte, 0, size+bytes.MinRead))
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	return buf.Bytes(), err
+}
+
+// writeDecodeErr answers a body that could not be read or decoded: 413
+// past the body cap, 400 otherwise.
+func (s *Server) writeDecodeErr(w http.ResponseWriter, err error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		writeErr(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", s.cfg.MaxBodyBytes), "body_too_large")
+		return
+	}
+	writeErr(w, http.StatusBadRequest, "malformed request: "+err.Error(), "bad_request")
 }
 
 // compute runs one budgeted computation, sync or async. Admission order:
@@ -143,19 +147,37 @@ func (s *Server) compute(w http.ResponseWriter, r *http.Request, op string, asyn
 	writeJSON(w, http.StatusOK, res)
 }
 
-// handleDatasets implements POST /v1/datasets.
+// handleDatasets implements POST /v1/datasets. The body is read once and
+// decoded by decodeRegister; the ledger record times the decode and the
+// build together.
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if !post(w, r) {
 		return
 	}
 	obs.Inc("serve_requests_total")
-	var req RegisterRequest
-	if !s.decode(w, r, &req) {
+	start := time.Now()
+	body, err := s.readBody(w, r)
+	if err != nil {
+		s.writeDecodeErr(w, err)
 		return
 	}
-	start := time.Now()
-	d, err := s.registerDataset(&req)
-	obs.RecordOp("ServeRegister", time.Since(start), 0, 0, "", nde.ErrorClass(err))
+	reg, err := decodeRegister(body)
+	if err != nil {
+		s.writeDecodeErr(w, err)
+		return
+	}
+	s.register(w, reg, start)
+}
+
+// register builds and stores a decoded registration, appends its
+// ServeRegister ledger record (timed from start) and writes the reply.
+func (s *Server) register(w http.ResponseWriter, reg *registration, start time.Time) {
+	d, err := s.registerDataset(reg)
+	rows := 0
+	if d != nil {
+		rows = d.train.Len()
+	}
+	obs.RecordOp("ServeRegister", time.Since(start), rows, 0, "", nde.ErrorClass(err))
 	if err != nil {
 		writeComputeErr(w, err)
 		return

@@ -171,41 +171,41 @@ func (s *Server) Draining() bool { return s.runs.isDraining() }
 // results; shutting the listener down afterwards is the caller's job.
 func (s *Server) Drain() { s.runs.drain() }
 
-// registerDataset validates a registration request, builds the splits,
+// registerDataset validates a decoded registration, builds the splits,
 // and stores the dataset under its content-addressed id. Registering
 // identical content returns the existing id.
-func (s *Server) registerDataset(req *RegisterRequest) (*dataset, error) {
-	if req.Train == nil || req.Valid == nil {
+func (s *Server) registerDataset(req *registration) (*dataset, error) {
+	if req.train == nil || req.valid == nil {
 		return nil, fmt.Errorf("%w: register needs train and valid splits", nderr.ErrEmptyInput)
 	}
-	train, err := buildDataset("train", req.Train)
+	train, err := buildDataset("train", req.train)
 	if err != nil {
 		return nil, err
 	}
-	valid, err := buildDataset("valid", req.Valid)
+	valid, err := buildDataset("valid", req.valid)
 	if err != nil {
 		return nil, err
 	}
 	var test *ml.Dataset
-	if req.Test != nil {
-		if test, err = buildDataset("test", req.Test); err != nil {
+	if req.test != nil {
+		if test, err = buildDataset("test", req.test); err != nil {
 			return nil, err
 		}
 	}
 	if valid.Dim() != train.Dim() || (test != nil && test.Dim() != train.Dim()) {
 		return nil, fmt.Errorf("%w: split dimensions differ", nderr.ErrShapeMismatch)
 	}
-	if req.Truth != nil && len(req.Truth) != train.Len() {
+	if req.truth != nil && len(req.truth) != train.Len() {
 		return nil, fmt.Errorf("%w: truth has %d labels for %d train rows",
-			nderr.ErrShapeMismatch, len(req.Truth), train.Len())
+			nderr.ErrShapeMismatch, len(req.truth), train.Len())
 	}
 
 	d := &dataset{
-		name:  req.Name,
+		name:  req.name,
 		train: train,
 		valid: valid,
 		test:  test,
-		truth: req.Truth,
+		truth: req.truth,
 	}
 	d.id = datasetID(d)
 
@@ -263,15 +263,15 @@ func datasetID(d *dataset) string {
 	return fmt.Sprintf("d-%016x", h.Sum64())
 }
 
-// buildDataset materializes one split from its wire spec.
-func buildDataset(split string, spec *MatrixSpec) (*ml.Dataset, error) {
+// buildDataset materializes one decoded split.
+func buildDataset(split string, spec *splitSpec) (*ml.Dataset, error) {
 	switch {
-	case spec.CSV != "" && spec.X != nil:
+	case spec.csv != "" && spec.x != nil:
 		return nil, fmt.Errorf("%w: %s split sets both csv and x", nderr.ErrShapeMismatch, split)
-	case spec.CSV != "":
-		return datasetFromCSV(split, spec.CSV, spec.Label)
-	case spec.X != nil:
-		return datasetFromMatrix(split, spec.X, spec.Y)
+	case spec.csv != "":
+		return datasetFromCSV(split, spec.csv, spec.label)
+	case spec.x != nil:
+		return datasetFromMatrix(split, spec.x, spec.y, spec.ragged)
 	default:
 		return nil, fmt.Errorf("%w: %s split has neither csv nor x", nderr.ErrEmptyInput, split)
 	}
@@ -297,6 +297,10 @@ func datasetFromCSV(split, csv, labelCol string) (*ml.Dataset, error) {
 	for i := 0; i < rows; i++ {
 		if labels.IsNull(i) {
 			return nil, fmt.Errorf("%w: %s split: null label at row %d", nderr.ErrNonFinite, split, i)
+		}
+		if labels.Kind() != frame.KindInt {
+			return nil, fmt.Errorf("%w: %s split label column %q holds %s values, not integers",
+				nderr.ErrDegenerateInput, split, labelCol, labels.Kind())
 		}
 		y[i] = int(labels.Int(i))
 	}
@@ -327,40 +331,28 @@ func datasetFromCSV(split, csv, labelCol string) (*ml.Dataset, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s split: %w", split, err)
 	}
-	if err := d.CheckFinite(); err != nil {
-		return nil, fmt.Errorf("%s split: %w", split, err)
-	}
 	return d, nil
 }
 
-// datasetFromMatrix materializes an inline row-major matrix + labels.
-func datasetFromMatrix(split string, rows [][]float64, y []int) (*ml.Dataset, error) {
-	if len(rows) == 0 {
+// datasetFromMatrix wraps a decoded inline matrix + labels. ragged is the
+// decoder's error for rows of differing width, reported after the checks
+// that precede it.
+func datasetFromMatrix(split string, x *linalg.Matrix, y []int, ragged error) (*ml.Dataset, error) {
+	if x.Rows == 0 {
 		return nil, fmt.Errorf("%w: %s split matrix is empty", nderr.ErrEmptyInput, split)
 	}
-	if len(y) != len(rows) {
+	if len(y) != x.Rows {
 		return nil, fmt.Errorf("%w: %s split has %d rows and %d labels",
-			nderr.ErrShapeMismatch, split, len(rows), len(y))
+			nderr.ErrShapeMismatch, split, x.Rows, len(y))
 	}
-	dim := len(rows[0])
-	if dim == 0 {
+	if x.Cols == 0 {
 		return nil, fmt.Errorf("%w: %s split rows have no features", nderr.ErrEmptyInput, split)
 	}
-	x := linalg.NewMatrix(len(rows), dim)
-	for r, row := range rows {
-		if len(row) != dim {
-			return nil, fmt.Errorf("%w: %s split row %d has %d features, row 0 has %d",
-				nderr.ErrShapeMismatch, split, r, len(row), dim)
-		}
-		for c, v := range row {
-			x.Set(r, c, v)
-		}
+	if ragged != nil {
+		return nil, ragged
 	}
 	d, err := ml.NewDataset(x, y)
 	if err != nil {
-		return nil, fmt.Errorf("%s split: %w", split, err)
-	}
-	if err := d.CheckFinite(); err != nil {
 		return nil, fmt.Errorf("%s split: %w", split, err)
 	}
 	return d, nil

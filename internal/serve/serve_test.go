@@ -188,6 +188,15 @@ func TestRegisterCSV(t *testing.T) {
 	if code != http.StatusBadRequest || body["class"] != "shape_mismatch" {
 		t.Errorf("missing label column = %d %v, want 400 shape_mismatch", code, body)
 	}
+
+	// so is a label column that is not integer (it used to panic the handler)
+	code, body = postJSON(t, ts.URL+"/v1/datasets", map[string]any{
+		"train": map[string]any{"csv": "a,label\n1,x\n2,0.5\n"},
+		"valid": map[string]any{"csv": csv},
+	})
+	if code != http.StatusBadRequest || body["class"] != "degenerate_input" {
+		t.Errorf("string label column = %d %v, want 400 degenerate_input", code, body)
+	}
 }
 
 // Malformed bodies, unknown fields, oversized bodies, unknown datasets

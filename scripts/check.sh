@@ -52,6 +52,13 @@ go test -run '^$' -bench . -benchtime 1x ./...
 echo "==> go test -fuzz FuzzReadCSV (2s)"
 go test -run='^FuzzReadCSV$' -fuzz='^FuzzReadCSV$' -fuzztime=2s ./internal/frame/
 
+# the same over nde-serve's inputs: the register fast path against
+# encoding/json, then every POST /v1/* body against a live handler
+echo "==> go test -fuzz FuzzDecodeRegister (2s)"
+go test -run='^FuzzDecodeRegister$' -fuzz='^FuzzDecodeRegister$' -fuzztime=2s ./internal/serve/
+echo "==> go test -fuzz FuzzServeHandler (2s)"
+go test -run='^FuzzServeHandler$' -fuzz='^FuzzServeHandler$' -fuzztime=2s ./internal/serve/
+
 # race-stress gate at the quick (time-budgeted) scale; `make stress` runs
 # the full GOMAXPROCS sweep. Skip with NDE_SKIP_STRESS=1 when in a hurry.
 if [ "${NDE_SKIP_STRESS:-0}" != "1" ]; then
