@@ -394,12 +394,9 @@ func BenchmarkWhatIf(b *testing.B) {
 	}
 }
 
-// The recall-vs-speed gate of the ANN layer (scripts/bench.sh records this
-// series in BENCH_neighbor.json): exact vs IVF top-k per query on a 20k-row
-// index. The exact path is measured with its distance matrix already cached
-// — the cheapest exact can possibly be — and the IVF path must still be at
-// least 5x faster while keeping recall@10 >= 0.95 (reported as the
-// recall@10 metric on the ivf sub-benchmark).
+// Exact top-k per query on a 20k-row index (scripts/bench.sh records this
+// series in BENCH_neighbor.json), measured with the distance matrix already
+// cached: the steady-state cost of one selection over a distance row.
 func BenchmarkNeighborTopK(b *testing.B) {
 	const (
 		n       = 20000
@@ -431,46 +428,20 @@ func BenchmarkNeighborTopK(b *testing.B) {
 		return d
 	}
 	train, query := mk(n), mk(queries)
-	exact, err := ml.NewNeighborIndexSearch(train, query, 0, ml.SearchConfig{Mode: ml.SearchExact})
+	exact, err := ml.NewNeighborIndex(train, query, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
-	ivf, err := ml.NewNeighborIndexSearch(train, query, 0, ml.SearchConfig{Mode: ml.SearchIVF, Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// warm both indexes outside the timer (D2 matrix / IVF build), then
-	// measure steady-state per-query cost
+	// warm the distance matrix outside the timer, then measure
+	// steady-state per-query cost
 	exact.TopK(0, k)
-	ivf.TopK(0, k)
-	hits := 0
-	for q := 0; q < queries; q++ {
-		truth := map[int]bool{}
-		for _, i := range exact.TopK(q, k) {
-			truth[i] = true
+	b.Run("exact", func(b *testing.B) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			exact.TopK(i%queries, k)
 		}
-		for _, i := range ivf.TopK(q, k) {
-			if truth[i] {
-				hits++
-			}
-		}
-	}
-	recall := float64(hits) / float64(queries*k)
-	for _, sub := range []struct {
-		name string
-		ix   *ml.NeighborIndex
-	}{{"exact", exact}, {"ivf", ivf}} {
-		b.Run(sub.name, func(b *testing.B) {
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sub.ix.TopK(i%queries, k)
-			}
-			if sub.name == "ivf" {
-				b.ReportMetric(recall, "recall@10")
-			}
-		})
-	}
+	})
 }
 
 // The batched prediction path vs. row-by-row prediction on the same kNN.
@@ -498,12 +469,15 @@ func BenchmarkKNNPredictBatch(b *testing.B) {
 	})
 }
 
-// The incremental-maintenance gate (scripts/bench.sh records this series in
+// The incremental-maintenance series (scripts/bench.sh records it in
 // BENCH_incremental.json): deleting one row from an n-row training set and
 // recomputing kNN-Shapley via the delta path (derive the index with
 // RemoveRows, re-run the closed form over the merged neighbor walk) vs. the
-// full recompute (fresh distance kernel + argsort, cache cold). The delta
-// path must be >= 10x faster at n = 20000; both paths are bit-identical,
+// full recompute (fresh distance kernel + argsort, cache cold). No gate
+// enforces the ratio. Since the radix argsort made rebuilds cheap, delta
+// measures about 3x faster than rebuild (2.9-3.5x at n = 20000 over three
+// -benchtime 5x runs on 2 CPUs); the per-variant train copy in RemoveRows
+// is what keeps it there (ROADMAP item 5). Both paths are bit-identical,
 // which internal/importance/delta_test.go asserts.
 func BenchmarkIncremental(b *testing.B) {
 	const (

@@ -18,12 +18,10 @@ import (
 // fingerprints (linalg.Matrix.Fingerprint), not pointer identities, so
 // in-place feature mutations are detected and get a fresh index.
 //
-// Cached indexes are always exact. The kNN-Shapley closed form reads the
-// full ranking (Order), which is exact under every search mode, so a mode
-// could not change any score; the TopK readers of a cached index (what-if
-// votes, the facade's DebugSession accuracy) thereby stay exact before and
-// after delta removals alike. Approximate top-k search is opt-in per index
-// through NewNeighborIndexSearch and never enters this cache.
+// Every NeighborIndex is exact, so all consumers of a cached index agree:
+// the kNN-Shapley closed form reads the full ranking (Order), and the TopK
+// readers (what-if votes, the facade's DebugSession accuracy) read the
+// same geometry before and after delta removals alike.
 //
 // Concurrency: lookups are singleflight and eviction is LRU over ready
 // entries only — an in-flight build is never evicted, so concurrent

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nde/internal/ann"
 	"nde/internal/linalg"
 	"nde/internal/nderr"
 	"nde/internal/par"
@@ -44,12 +43,6 @@ type NeighborIndex struct {
 	// Workers bounds the pool used for the kernel and the batch argsort
 	// (<= 0 = auto).
 	Workers int
-	// Search selects the top-k backend (see SearchConfig). The zero value
-	// is the exact path; SearchIVF/SearchAuto route TopK through the
-	// approximate internal/ann index, built lazily on first query. Order
-	// and D2 are always exact regardless of mode — full-ranking consumers
-	// (the kNN-Shapley closed form) stay on the determinism oracle.
-	Search SearchConfig
 
 	d2Once sync.Once
 	d2     *linalg.Matrix // Queries.Len() × Train.Len()
@@ -62,10 +55,7 @@ type NeighborIndex struct {
 
 	// delta, when non-nil, marks a derived index: answers come from the
 	// root's cached geometry instead of fresh kernels (neighbor_delta.go).
-	// Derived indexes always serve the exact path.
 	delta *deltaGeom
-
-	search searchState // lazily resolved ANN backend (search.go)
 }
 
 // topkCache holds the per-query top-k lists for one k: flat q×k training
@@ -87,14 +77,6 @@ type topkCache struct {
 // at build time (wrapping nderr.ErrNonFinite) turns that silent corruption
 // into a diagnosable error.
 func NewNeighborIndex(train, queries *Dataset, workers int) (*NeighborIndex, error) {
-	return NewNeighborIndexSearch(train, queries, workers, SearchConfig{})
-}
-
-// NewNeighborIndexSearch is NewNeighborIndex with an explicit search
-// configuration. The zero SearchConfig reproduces NewNeighborIndex
-// exactly; SearchIVF/SearchAuto route TopK through the approximate index
-// (built lazily on first query) while Order/D2 stay exact.
-func NewNeighborIndexSearch(train, queries *Dataset, workers int, search SearchConfig) (*NeighborIndex, error) {
 	if train == nil || queries == nil {
 		return nil, nderr.Empty("ml: NeighborIndex needs non-nil train and query sets")
 	}
@@ -110,7 +92,7 @@ func NewNeighborIndexSearch(train, queries *Dataset, workers int, search SearchC
 	if err := checkKernelRows(queries.X, "NeighborIndex query features"); err != nil {
 		return nil, err
 	}
-	return &NeighborIndex{Train: train, Queries: queries, Workers: workers, Search: search}, nil
+	return &NeighborIndex{Train: train, Queries: queries, Workers: workers}, nil
 }
 
 // maxRowNorm2 bounds the squared norm of a feature row the distance kernel
@@ -200,12 +182,8 @@ func (ix *NeighborIndex) Order(qi int) []int {
 // ascending squared distance (ties by index). k is clamped to the
 // training size. The slice is freshly allocated.
 //
-// In the exact mode an O(n) quickselect over the cached distance row pulls
-// the k smallest, then only those are sorted. Under SearchIVF/SearchAuto
-// the answer comes from the approximate index (float32 distances, nprobe
-// partitions scanned) — sub-linear, but rows outside the probed partitions
-// can be missed; if the probed partitions hold fewer than k rows, the
-// query transparently falls back to the exact path.
+// An O(n) selection over the cached distance row pulls the k smallest,
+// then only those are sorted.
 func (ix *NeighborIndex) TopK(qi, k int) []int {
 	n := ix.Train.Len()
 	if k > n {
@@ -222,15 +200,6 @@ func (ix *NeighborIndex) TopK(qi, k int) []int {
 		g.reselectInto(qi, k, pairs, out)
 		return out
 	}
-	ix.ensureSearch()
-	if ix.search.eff != SearchExact {
-		scratch := ix.annScratch()
-		out, ok := ix.annTopK(qi, k, scratch)
-		ix.search.scratch.Put(scratch)
-		if ok {
-			return out
-		}
-	}
 	row := ix.D2().Row(qi)
 	pairs := make([]distIdx, n)
 	out := make([]int, k)
@@ -239,12 +208,12 @@ func (ix *NeighborIndex) TopK(qi, k int) []int {
 
 // exactTopKInto is the exact top-k path writing into caller-provided
 // buffers: pairs must have length Train.Len(), out length k. It returns
-// out. Extracted so the batch prediction path can reuse per-worker
-// scratch instead of allocating per query. Small k (the usual
-// classifier k) keeps a sorted insertion buffer in pairs[:k] during one
-// scan of row — most rows lose a single compare against the current k-th —
-// instead of quickselecting all n pairs and sorting the winners; both give
-// the same ids, since (distance, index) is a total order.
+// out. Extracted so the top-k table build can reuse per-worker scratch
+// instead of allocating per query. Small k (the usual classifier k) keeps
+// a sorted insertion buffer in pairs[:k] during one scan of row — most
+// rows lose a single compare against the current k-th — instead of
+// quickselecting all n pairs and sorting the winners; both give the same
+// ids, since (distance, index) is a total order.
 func (ix *NeighborIndex) exactTopKInto(row []float64, k int, pairs []distIdx, out []int) []int {
 	if k <= insertionTopK {
 		top := pairs[:0]
@@ -302,15 +271,6 @@ func tallyVotes(votes []int, trainY []int, top []int) int {
 	return best
 }
 
-// predictScratch is the per-worker buffer set of PredictBatch: one
-// allocation per worker instead of two per query.
-type predictScratch struct {
-	votes []int
-	pairs []distIdx // exact path: quickselect arena
-	top   []int     // exact path: top-k indices
-	ann   *ann.Scratch
-}
-
 // PredictBatch classifies every query with the k-nearest-neighbor vote:
 // the majority label among TopK(q, k), vote ties breaking toward the
 // smaller label.
@@ -326,10 +286,10 @@ func (ix *NeighborIndex) PredictBatch(k int) []int {
 // legitimately be shared across label revisions. trainY needs one
 // non-negative label per training row.
 //
-// On the exact path the per-query top-k lists are built once into the
-// index's top-k cache (parallel, per-worker scratch) and the vote tally is
-// a cheap O(queries·k) pass, so repeated predictions and delta-derived
-// children reuse the selection work.
+// The per-query top-k lists are built once into the index's top-k cache
+// (parallel, per-worker scratch) and the vote tally is a cheap
+// O(queries·k) pass, so repeated predictions and delta-derived children
+// reuse the selection work.
 func (ix *NeighborIndex) PredictBatchLabels(k int, trainY []int) ([]int, error) {
 	n := ix.Train.Len()
 	if len(trainY) != n {
@@ -351,32 +311,6 @@ func (ix *NeighborIndex) PredictBatchLabels(k int, trainY []int) ([]int, error) 
 		kk = n
 	}
 	if kk <= 0 {
-		return out, nil
-	}
-	ix.ensureSearch()
-	if ix.search.eff != SearchExact {
-		ix.queries32()
-		scratch := make([]predictScratch, par.Workers(ix.Workers, nq))
-		par.For("ml.knn_predict_batch", ix.Workers, nq, func(w, q int) {
-			s := &scratch[w]
-			if s.votes == nil {
-				s.votes = make([]int, nc)
-			}
-			if s.ann == nil {
-				s.ann = &ann.Scratch{}
-			}
-			if top, ok := ix.annTopK(q, kk, s.ann); ok {
-				out[q] = tallyVotes(s.votes, trainY, top)
-				return
-			}
-			// partial answer: exact fallback for this query
-			if s.pairs == nil {
-				s.pairs = make([]distIdx, n)
-				s.top = make([]int, kk)
-			}
-			top := ix.exactTopKInto(ix.D2().Row(q), kk, s.pairs, s.top[:kk])
-			out[q] = tallyVotes(s.votes, trainY, top)
-		})
 		return out, nil
 	}
 	ids, _ := ix.ensureTopK(kk)

@@ -223,27 +223,25 @@ func TestAppendRowsErrors(t *testing.T) {
 	}
 }
 
-// k <= 0 and k > n clamp identically in TopK across the exact, IVF, and
-// auto search paths.
+// k <= 0 and k > n clamp in TopK: no ids for a non-positive k, all n ids
+// for an oversized one.
 func TestTopKClampAndErrorsAcrossModes(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	train := randomNeighborDataset(r, 64, 4, 2)
 	queries := randomNeighborDataset(r, 6, 4, 2)
 	n := train.Len()
-	for _, mode := range []SearchMode{SearchExact, SearchIVF, SearchAuto} {
-		ix, err := NewNeighborIndexSearch(train, queries, 1, SearchConfig{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := ix.TopK(0, 0); got != nil {
-			t.Errorf("mode %v: TopK(0,0) = %v, want nil", mode, got)
-		}
-		if got := ix.TopK(0, -4); got != nil {
-			t.Errorf("mode %v: TopK(0,-4) = %v, want nil", mode, got)
-		}
-		if got := ix.TopK(0, n+5); len(got) != n {
-			t.Errorf("mode %v: TopK(0,n+5) returned %d ids, want clamped %d", mode, len(got), n)
-		}
+	ix, err := NewNeighborIndex(train, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := ix.TopK(0, 0); got != nil {
+		t.Errorf("TopK(0,0) = %v, want nil", got)
+	}
+	if got := ix.TopK(0, -4); got != nil {
+		t.Errorf("TopK(0,-4) = %v, want nil", got)
+	}
+	if got := ix.TopK(0, n+5); len(got) != n {
+		t.Errorf("TopK(0,n+5) returned %d ids, want clamped %d", len(got), n)
 	}
 }
 

@@ -2,6 +2,7 @@ package ml
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -23,6 +24,75 @@ func randomNeighborDataset(r *rand.Rand, n, dim, classes int) *Dataset {
 	}
 	d, _ := NewDataset(x, y)
 	return d
+}
+
+// clusteredDataset draws n rows around c Gaussian blob centers, so that
+// neighbor sets have structure instead of being uniform noise.
+func clusteredDataset(r *rand.Rand, n, dim, c, classes int) *Dataset {
+	centers := linalg.NewMatrix(c, dim)
+	for i := range centers.Data {
+		centers.Data[i] = r.NormFloat64() * 10
+	}
+	x := linalg.NewMatrix(n, dim)
+	y := make([]int, n)
+	for i := 0; i < n; i++ {
+		ctr := centers.Row(r.Intn(c))
+		row := x.Row(i)
+		for j := range row {
+			row[j] = ctr[j] + r.NormFloat64()
+		}
+		y[i] = r.Intn(classes)
+	}
+	d, _ := NewDataset(x, y)
+	return d
+}
+
+// Bit-identity across worker counts: an index built with 2 or 4 workers
+// must match the workers=1 index exactly — same D2 bits, same orders, same
+// top-k, same batch predictions.
+func TestExactModeBitIdenticalToDefaultIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(51))
+	train := clusteredDataset(r, 120, 6, 5, 3)
+	queries := clusteredDataset(r, 30, 6, 5, 3)
+	base, err := NewNeighborIndex(train, queries, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []int{1, 2, 4} {
+		name := fmt.Sprintf("workers=%d", w)
+		ix, err := NewNeighborIndex(train, queries, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bd2, gd2 := base.D2(), ix.D2()
+		for i := range bd2.Data {
+			if math.Float64bits(bd2.Data[i]) != math.Float64bits(gd2.Data[i]) {
+				t.Fatalf("%s: D2 element %d differs bitwise", name, i)
+			}
+		}
+		for q := 0; q < queries.Len(); q++ {
+			bo, gg := base.Order(q), ix.Order(q)
+			for i := range bo {
+				if bo[i] != gg[i] {
+					t.Fatalf("%s query %d: order rank %d differs", name, q, i)
+				}
+			}
+		}
+		for q := 0; q < queries.Len(); q++ {
+			bt, gt := base.TopK(q, 7), ix.TopK(q, 7)
+			for i := range bt {
+				if bt[i] != gt[i] {
+					t.Fatalf("%s query %d: top-k rank %d differs", name, q, i)
+				}
+			}
+		}
+		bp, gp := base.PredictBatch(5), ix.PredictBatch(5)
+		for q := range bp {
+			if bp[q] != gp[q] {
+				t.Fatalf("%s: prediction %d differs", name, q)
+			}
+		}
+	}
 }
 
 // Property: quickselect top-k matches the prefix of the full sort under

@@ -38,7 +38,9 @@ type RegisterRequest struct {
 }
 
 // RegisterResponse reports the content-addressed dataset id. Registering
-// the same content twice returns the same id.
+// the same content twice returns the same id. The name is not part of the
+// id, so the first name wins: re-registering identical data under another
+// name replies with, and keeps, the name it was first registered with.
 type RegisterResponse struct {
 	ID        string `json:"id"`
 	Name      string `json:"name,omitempty"`

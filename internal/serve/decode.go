@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/http"
 	"strconv"
 
 	"nde/internal/linalg"
@@ -51,7 +52,9 @@ var errTrailingData = errors.New("trailing data after JSON body")
 
 // decodeJSON decodes one JSON value from rd into v. Unknown fields and
 // trailing garbage are rejected so typos fail loudly instead of being
-// silently ignored.
+// silently ignored. A read error past the value (an *http.MaxBytesError
+// when trailing bytes run over the body cap) is returned as is, so the
+// caller still classifies an oversized body as too large.
 func decodeJSON(rd io.Reader, v any) error {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
@@ -59,10 +62,13 @@ func decodeJSON(rd io.Reader, v any) error {
 		return err
 	}
 	var trailing any
-	if dec.Decode(&trailing) != io.EOF {
-		return errTrailingData
+	switch err := dec.Decode(&trailing); {
+	case err == io.EOF:
+		return nil
+	case errors.As(err, new(*http.MaxBytesError)):
+		return err
 	}
-	return nil
+	return errTrailingData
 }
 
 // decodeRegisterJSON decodes a register body through the RegisterRequest

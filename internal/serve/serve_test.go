@@ -98,13 +98,23 @@ func register(t *testing.T, ts *httptest.Server, trainRows int) string {
 	return id
 }
 
-// Registration is content-addressed (same content, same id) and the full
-// score → what-if → cleaning path works over real HTTP.
+// Registration is content-addressed (same content, same id, first name
+// wins) and the full score → what-if → cleaning path works over real HTTP.
 func TestEndpointsHappyPath(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	id := register(t, ts, 42)
 	if again := register(t, ts, 42); again != id {
 		t.Errorf("re-registering identical content: id %q != %q", again, id)
+	}
+	// the name is not part of the id: identical content registered as "b"
+	// replies with, and keeps, the first name "a"
+	named := registerBody(30)
+	for _, name := range []string{"a", "b"} {
+		named["name"] = name
+		code, body := postJSON(t, ts.URL+"/v1/datasets", named)
+		if code != http.StatusOK || body["name"] != "a" {
+			t.Errorf("register as %q = %d name %v, want 200 name \"a\"", name, code, body["name"])
+		}
 	}
 
 	code, body := postJSON(t, ts.URL+"/v1/importance", map[string]any{"dataset": id, "k": 3})
@@ -229,6 +239,20 @@ func TestRequestErrors(t *testing.T) {
 	if code != http.StatusNotFound || body["class"] != "not_found" {
 		t.Errorf("unknown dataset = %d %v, want 404 not_found", code, body)
 	}
+
+	// a JSON value that ends inside the cap, followed by whitespace that
+	// runs past it, is still too large, not trailing data
+	_, small := newTestServer(t, Config{MaxBodyBytes: 64})
+	resp, err = http.Post(small.URL+"/v1/importance", "application/json",
+		strings.NewReader(`{"dataset":"x"}`+strings.Repeat(" ", 200)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e = ErrorResponse{}
+	if json.NewDecoder(resp.Body).Decode(&e); resp.StatusCode != http.StatusRequestEntityTooLarge || e.Class != "body_too_large" {
+		t.Errorf("trailing bytes past the cap = %d class %q, want 413 body_too_large", resp.StatusCode, e.Class)
+	}
+	resp.Body.Close()
 
 	for _, path := range []string{"/v1/datasets", "/v1/importance", "/v1/whatif", "/v1/cleaning"} {
 		resp, err := http.Get(ts.URL + path)

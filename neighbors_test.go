@@ -8,9 +8,11 @@ import (
 	"nde/internal/ml"
 )
 
+// NearestLetters answers every query with k neighbor ids and rejects
+// degenerate inputs through the facade checks.
 func TestNearestLettersModes(t *testing.T) {
 	s := LoadRecommendationLetters(300, 7)
-	exact, err := NearestLetters(s.Train, s.Valid, 5, NeighborSearchConfig{})
+	exact, err := NearestLetters(s.Train, s.Valid, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,44 +24,19 @@ func TestNearestLettersModes(t *testing.T) {
 			t.Fatalf("query %d: %d neighbors, want 5", q, len(nn))
 		}
 	}
-	// Auto mode on this small set must resolve to the exact path and match
-	// the exact answers element-for-element.
-	auto, err := NearestLetters(s.Train, s.Valid, 5, NeighborSearchConfig{Mode: SearchAuto})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range exact {
-		for i := range exact[q] {
-			if exact[q][i] != auto[q][i] {
-				t.Fatalf("auto-mode answer diverges at query %d rank %d", q, i)
-			}
-		}
-	}
-	// explicit IVF still returns full answers (partial probes fall back)
-	ivf, err := NearestLetters(s.Train, s.Valid, 5, NeighborSearchConfig{Mode: SearchIVF, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q, nn := range ivf {
-		if len(nn) != 5 {
-			t.Fatalf("ivf query %d: %d neighbors, want 5", q, len(nn))
-		}
-	}
 	// degenerate inputs error through the facade checks
-	if _, err := NearestLetters(nil, s.Valid, 5, NeighborSearchConfig{}); err == nil {
+	if _, err := NearestLetters(nil, s.Valid, 5); err == nil {
 		t.Error("nil train frame did not error")
 	}
-	if _, err := NearestLetters(s.Train, s.Valid, 10_000, NeighborSearchConfig{}); err == nil {
+	if _, err := NearestLetters(s.Train, s.Valid, 10_000); err == nil {
 		t.Error("oversized k did not error")
 	}
 }
 
-// kNN-Shapley scores must be invariant to the search mode: the closed form
-// consumes the exact full ranking, which an index answering top-k from the
-// approximate IVF backend still keeps. The facade's scores are recomputed
-// by the closed-form recurrence over the Order of explicitly configured
-// IVF/Auto indexes, after TopK has been served for every query, and must
-// match bit for bit; so must a second facade call after those searches.
+// The facade's kNN-Shapley scores must equal the closed-form recurrence
+// over the Order of an explicitly built exact index, bit for bit, also
+// after that index has served TopK for every query; so must a second
+// facade call.
 func TestKNNShapleyInvariantUnderSearchMode(t *testing.T) {
 	importance.ResetNeighborIndexCache()
 	defer importance.ResetNeighborIndexCache()
@@ -79,25 +56,17 @@ func TestKNNShapleyInvariantUnderSearchMode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []NeighborSearchConfig{
-		{Mode: SearchIVF, Seed: 2},
-		{Mode: SearchAuto, ExactThreshold: 10, Seed: 2},
-	} {
-		ix, err := ml.NewNeighborIndexSearch(train, valid, 0, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := 0; q < valid.Len(); q++ {
-			ix.TopK(q, k)
-		}
-		if cfg.Mode == SearchIVF && ix.EffectiveMode() != SearchIVF {
-			t.Fatalf("effective mode %v, want ivf", ix.EffectiveMode())
-		}
-		got := closedFormKNNShapley(k, ix, train.Y, valid.Y)
-		for i := range base {
-			if math.Float64bits(base[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("score %d differs under %v search mode: %v vs %v", i, cfg.Mode, base[i], got[i])
-			}
+	ix, err := ml.NewNeighborIndex(train, valid, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := 0; q < valid.Len(); q++ {
+		ix.TopK(q, k)
+	}
+	got := closedFormKNNShapley(k, ix, train.Y, valid.Y)
+	for i := range base {
+		if math.Float64bits(base[i]) != math.Float64bits(got[i]) {
+			t.Fatalf("score %d differs from the closed form: %v vs %v", i, base[i], got[i])
 		}
 	}
 	again, err := KNNShapleyValues(s.Train, s.Valid, k)
@@ -106,7 +75,7 @@ func TestKNNShapleyInvariantUnderSearchMode(t *testing.T) {
 	}
 	for i := range base {
 		if math.Float64bits(base[i]) != math.Float64bits(again[i]) {
-			t.Fatalf("score %d changed after approximate searches: %v vs %v", i, base[i], again[i])
+			t.Fatalf("score %d changed on a repeat call: %v vs %v", i, base[i], again[i])
 		}
 	}
 }

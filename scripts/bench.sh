@@ -7,9 +7,8 @@
 # ran with: the -N suffix `go test` appends to benchmark names (no suffix
 # means 1). Four series are emitted: the importance/pipeline
 # hot paths (BENCH_importance.json), the what-if fan-out (BENCH_whatif.json),
-# the exact-vs-IVF neighbor-search gate (BENCH_neighbor.json, which also
-# records the recall@10 of the IVF run), and the delta-vs-rebuild
-# incremental-maintenance gate (BENCH_incremental.json). `make bench` runs
+# exact neighbor top-k (BENCH_neighbor.json), and the delta-vs-rebuild
+# incremental-maintenance series (BENCH_incremental.json). `make bench` runs
 # this.
 #
 # Usage: sh scripts/bench.sh [importance-output.json]
@@ -45,19 +44,17 @@ BEGIN { gomaxprocs = 1; body = "" }
         gomaxprocs = substr(name, RSTART + 1)
         name = substr(name, 1, RSTART - 1)
     }
-    ns = ""; bytes = ""; allocs = ""; recall = ""
+    ns = ""; bytes = ""; allocs = ""
     for (i = 2; i < NF; i++) {
         if ($(i+1) == "ns/op")     ns = $i
         if ($(i+1) == "B/op")      bytes = $i
         if ($(i+1) == "allocs/op") allocs = $i
-        if ($(i+1) == "recall@10") recall = $i
     }
     if (ns == "") next
     if (body != "") body = body ",\n"
     body = body sprintf("    {\"name\": \"%s\", \"ns_per_op\": %s", name, ns)
     if (bytes != "")  body = body sprintf(", \"bytes_per_op\": %s", bytes)
     if (allocs != "") body = body sprintf(", \"allocs_per_op\": %s", allocs)
-    if (recall != "") body = body sprintf(", \"recall_at_10\": %s", recall)
     body = body "}"
 }
 END {

@@ -2,9 +2,11 @@
 # bench_diff.sh — the perf-regression gate: re-run the tracked benchmark
 # series into a temp directory and compare each benchmark's ns/op against
 # the checked-in BENCH_*.json baselines. Fails when any benchmark regresses
-# by more than the threshold (default 15%). Benchmarks present only on one
-# side (just added, or just retired) are reported but never fail the gate —
-# refresh the baselines with `make bench` when the set changes on purpose.
+# by more than the threshold (default 15%), or when a baseline entry has no
+# fresh counterpart (GONE: the benchmark was retired or renamed), so a
+# benchmark cannot silently drop out of the gate — retire or rename one
+# together with its baseline row. A benchmark present only in the fresh
+# run (NEW) is reported but does not fail; record it with `make bench`.
 # `make bench-diff` runs this; scripts/check.sh runs it when NDE_BENCH=1.
 #
 # Usage: sh scripts/bench_diff.sh
@@ -54,8 +56,10 @@ NR == FNR { old[$1] = $2; next }
     printf "  %-5s %-55s %12.0f -> %12.0f ns/op (%+.1f%%)\n", verdict, $1, old[$1], $2, pct
 }
 END {
-    for (name in old) if (!(name in new))
+    for (name in old) if (!(name in new)) {
         printf "  GONE  %-55s (baseline has no fresh counterpart)\n", name
+        failed = 1
+    }
     exit failed ? 1 : 0
 }' "$fresh/old.txt" "$fresh/new.txt"; then
         status=1
@@ -63,7 +67,7 @@ END {
 done
 
 if [ "$status" -ne 0 ]; then
-    echo "bench_diff: ns/op regression beyond ${threshold}% — investigate, or refresh baselines with 'make bench' if intentional" >&2
+    echo "bench_diff: ns/op regression beyond ${threshold}%, or a baseline benchmark is GONE — investigate; if intentional, refresh the baselines with 'make bench' in the same change" >&2
     exit 1
 fi
 echo "bench_diff: OK (no benchmark regressed more than ${threshold}%)"
